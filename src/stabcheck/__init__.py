@@ -72,7 +72,6 @@ from .stabilizer import (
     standard_form,
     syndrome,
     syndrome_direct,
-    syndrome_linear,
     validate,
 )
 from .symplectic import (
@@ -80,7 +79,6 @@ from .symplectic import (
     Gf2Matrix,
     PauliOperator,
     PauliParseError,
-    SymplecticVector,
     commutes,
     pauli_from_string,
     pauli_product,
@@ -94,7 +92,6 @@ __all__ = [
     "__version__",
     # symplectic layer
     "BitVector",
-    "SymplecticVector",
     "PauliOperator",
     "PauliParseError",
     "Gf2Matrix",
@@ -115,7 +112,6 @@ __all__ = [
     "SyndromeMatrices",
     "syndrome",
     "syndrome_direct",
-    "syndrome_linear",
     "bsm_psm",
     "StandardForm",
     "standard_form",

@@ -11,6 +11,7 @@ reproducible and independent of how trials are split across workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -190,6 +191,11 @@ def _run_range(
     return failures
 
 
+def pool_size(workers: int, spans: int, cpus: int | None) -> int:
+    """Processes worth starting: no more than the spans or the CPUs."""
+    return min(workers, spans, cpus or 1)
+
+
 def run(
     code: StabilizerCode,
     channel: PauliChannel,
@@ -209,6 +215,8 @@ def run(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= seed < 2**63:  # numpy aliases larger Philox keys, or overflows
+        raise ValueError(f"seed {seed} outside [0, 2**63)")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if table is None:
@@ -220,7 +228,8 @@ def run(
         spans = [
             (start, min(start + step, trials)) for start in range(0, trials, step)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        size = pool_size(workers, len(spans), os.cpu_count())
+        with ProcessPoolExecutor(max_workers=size) as pool:
             parts = pool.map(
                 _run_range,
                 *zip(

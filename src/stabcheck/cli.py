@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="depolarizing strength; excludes --px/--py/--pz",
     )
     p.add_argument("--trials", type=int, default=10000, help="sample count")
-    p.add_argument("--seed", type=int, default=0, help="stream seed")
+    p.add_argument("--seed", type=int, default=0, help="stream seed, 0 <= SEED < 2**63")
     p.add_argument(
         "--workers", type=int, default=None,
         help=f"process count (default ${WORKERS_ENV} or 1); never changes results",

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .stabilizer import StabilizerCode, StandardForm, css_split, standard_form
 from .symplectic import (
-    ALL_INDEPENDENT,
     BUDGET_EXHAUSTED,
     DEPENDENT_FOUND,
     Gf2Matrix,
@@ -70,6 +69,22 @@ class CriterionOutcome(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
+def letter_masks(supports: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """(x, z) masks of every letter pattern on each support in turn.
+
+    Supports are taken in the order given; on each, letter patterns run in
+    lexicographic order over X < Y < Z.
+    """
+    for support in supports:
+        for letters in product(LETTER_MASKS, repeat=len(support)):
+            x = 0
+            z = 0
+            for pos, (lx, lz) in zip(support, letters):
+                x |= lx << pos
+                z |= lz << pos
+            yield x, z
+
+
 def iter_weight_masks(n: int, w: int) -> Iterator[tuple[int, int]]:
     """(x, z) masks of the Paulis of weight exactly w.
 
@@ -78,17 +93,7 @@ def iter_weight_masks(n: int, w: int) -> Iterator[tuple[int, int]]:
     """
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside 0..{n}")
-    if w == 0:
-        yield 0, 0
-        return
-    for support in combinations(range(n), w):
-        for letters in product(LETTER_MASKS, repeat=w):
-            x = 0
-            z = 0
-            for pos, (lx, lz) in zip(support, letters):
-                x |= lx << pos
-                z |= lz << pos
-            yield x, z
+    return letter_masks(combinations(range(n), w))
 
 
 def iter_error_masks(n: int, t: int) -> Iterator[tuple[int, int]]:
@@ -229,11 +234,15 @@ def classify(
         "exact": CriterionOutcome(verdict.value)
     }
     if with_criteria:
-        if 4 * t <= 2 * n:
-            criteria["sufficient_columns"] = sufficient_nondegenerate(
-                code, t, budget=budget
-            )
-        criteria["necessary_columns"] = necessary_check(code, t, budget=budget)
+        # One search up to 4t (2t when 4t > 2n) runs the levels of both
+        # stand-alone searches in their order, so it settles both criteria.
+        sufficient = 4 * t <= 2 * n
+        search = all_subsets_independent(
+            code, 4 * t if sufficient else 2 * t, budget=budget
+        )
+        if sufficient:
+            criteria["sufficient_columns"] = _sufficient_outcome(search, t)
+        criteria["necessary_columns"] = _necessary_outcome(search, t)
         criteria["css_blocks"] = css_nondegeneracy(code, t, budget=budget)
         criteria["standard_form"] = standard_form_shortcut(standard_form(code), t)
     return ClassificationReport(
@@ -293,12 +302,9 @@ def sufficient_nondegenerate(
     _check_t(code, t)
     if 4 * t > 2 * code.n:
         raise ValueError(f"4t={4 * t} exceeds the {2 * code.n} columns of [H_X|H_Z]")
-    search = all_subsets_independent(code, 4 * t, "full", budget=budget)
-    if search.outcome == ALL_INDEPENDENT:
-        return CriterionOutcome.PROVEN_NONDEGENERATE
-    if search.outcome == BUDGET_EXHAUSTED:
-        return CriterionOutcome.BUDGET_EXHAUSTED
-    return CriterionOutcome.INCONCLUSIVE
+    return _sufficient_outcome(
+        all_subsets_independent(code, 4 * t, "full", budget=budget), t
+    )
 
 
 def necessary_check(
@@ -311,13 +317,27 @@ def necessary_check(
     independent is inconclusive (nondegeneracy needs more).
     """
     _check_t(code, t)
-    m = min(2 * t, 2 * code.n)
-    search = all_subsets_independent(code, m, "full", budget=budget)
-    if search.outcome == DEPENDENT_FOUND:
-        return CriterionOutcome.PROVEN_DEGENERATE
+    return _necessary_outcome(
+        all_subsets_independent(code, 2 * t, "full", budget=budget), t
+    )
+
+
+def _sufficient_outcome(search: SubsetSearch, t: int) -> CriterionOutcome:
+    """Sufficient criterion read off a full-matrix search of size >= 4t."""
+    if search.verified >= 4 * t:
+        return CriterionOutcome.PROVEN_NONDEGENERATE
     if search.outcome == BUDGET_EXHAUSTED:
         return CriterionOutcome.BUDGET_EXHAUSTED
     return CriterionOutcome.INCONCLUSIVE
+
+
+def _necessary_outcome(search: SubsetSearch, t: int) -> CriterionOutcome:
+    """Necessary criterion read off a full-matrix search of size >= 2t."""
+    if search.verified >= 2 * t:
+        return CriterionOutcome.INCONCLUSIVE
+    if search.outcome == DEPENDENT_FOUND:
+        return CriterionOutcome.PROVEN_DEGENERATE
+    return CriterionOutcome.BUDGET_EXHAUSTED
 
 
 def css_nondegeneracy(

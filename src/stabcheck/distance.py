@@ -11,21 +11,13 @@ is independent, without enumerating errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
-from .degeneracy import (
-    LETTER_MASKS,
-    CriterionOutcome,
-    Verdict,
-    classify,
-    css_nondegeneracy,
-)
+from .degeneracy import Verdict, classify, letter_masks
 from .stabilizer import StabilizerCode, css_split
 from .symplectic import (
     ALL_INDEPENDENT,
     BUDGET_EXHAUSTED,
-    DEPENDENT_FOUND,
     Gf2Matrix,
     PauliOperator,
     row_reduce,
@@ -49,18 +41,6 @@ def _colex_combinations(n: int, w: int) -> Iterator[tuple[int, ...]]:
     for top in range(w - 1, n):
         for rest in _colex_combinations(top, w - 1):
             yield rest + (top,)
-
-
-def _iter_weight_level(n: int, w: int) -> Iterator[tuple[int, int]]:
-    """(x, z) masks of weight-w Paulis: supports colex, letters lex X<Y<Z."""
-    for support in _colex_combinations(n, w):
-        for letters in product(LETTER_MASKS, repeat=w):
-            x = 0
-            z = 0
-            for pos, (lx, lz) in zip(support, letters):
-                x |= lx << pos
-                z |= lz << pos
-            yield x, z
 
 
 @dataclass(frozen=True)
@@ -119,23 +99,10 @@ def max_independence_order(
     if red.rank == m.cols:
         return m.cols, False
     search = smallest_dependent_subset(m, red.rank + 1, budget=budget)
-    if search.outcome == DEPENDENT_FOUND:
-        return len(search.dependent) - 1, False
     # rank < cols guarantees some (rank+1)-subset is dependent, so the search
     # cannot come back all_independent; only the budget stops it.
-    assert search.outcome == BUDGET_EXHAUSTED
-    return _verified_order(m, budget), True
-
-
-def _verified_order(m: Gf2Matrix, budget: int) -> int:
-    """Largest size whose full enumeration fits the budget (conservative)."""
-    order = 0
-    for size in range(1, m.cols + 1):
-        search = smallest_dependent_subset(m, size, budget=budget)
-        if search.outcome != ALL_INDEPENDENT:
-            break
-        order = size
-    return order
+    assert search.outcome != ALL_INDEPENDENT
+    return search.verified, search.outcome == BUDGET_EXHAUSTED
 
 
 def column_bounds(
@@ -161,14 +128,10 @@ def column_bounds(
         z_order, z_exh = max_independence_order(split.z_block, budget=budget)
         block_orders = (x_order, z_order)
         exhausted = exhausted or x_exh or z_exh
-        pattern = (
-            encodes
-            and min(x_order, z_order) == 2 * t
-            and not (x_exh or z_exh)
-        )
-        if pattern and css_nondegeneracy(
-            code, t, budget=budget
-        ) is CriterionOutcome.NONDEGENERATE:
+        # With k >= 1 each block has fewer rows than columns, so both orders
+        # come from searches run to the end: min(x, z) >= 2t is then the CSS
+        # criterion at t, and == 2t adds a dependent (2t+1)-subset.
+        if encodes and min(x_order, z_order) == 2 * t and not (x_exh or z_exh):
             exact = 2 * t + 1
             lower = exact
             upper = exact
@@ -215,7 +178,7 @@ def min_distance(
     d: int | None = None
     witness: PauliOperator | None = None
     for w in range(1, limit + 1):
-        for x, z in _iter_weight_level(n, w):
+        for x, z in letter_masks(_colex_combinations(n, w)):
             if code.syndrome_masks(x, z) != 0:
                 continue
             if code.in_stabilizer_masks(x, z):

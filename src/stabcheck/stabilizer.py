@@ -27,6 +27,7 @@ from .symplectic import (
     commutes,
     gf2_invert,
     pauli_from_string,
+    pivot_step,
     row_reduce,
 )
 
@@ -45,7 +46,6 @@ __all__ = [
     "syndrome",
     "syndrome_direct",
     "bsm_psm",
-    "syndrome_linear",
     "standard_form",
     "css_split",
     "is_css",
@@ -233,22 +233,7 @@ class StabilizerCode:
     def syndrome_masks(self, x: int, z: int) -> int:
         """Syndrome as an int, from raw (x, z) masks.  Hot path for searches."""
         sm = self.syndrome_matrices
-        s = 0
-        bsm_rows = sm.bsm.rows
-        i = 0
-        while x:
-            if x & 1:
-                s ^= bsm_rows[i]
-            x >>= 1
-            i += 1
-        psm_rows = sm.psm.rows
-        i = 0
-        while z:
-            if z & 1:
-                s ^= psm_rows[i]
-            z >>= 1
-            i += 1
-        return s
+        return sm.bsm.vec_mat(x) ^ sm.psm.vec_mat(z)
 
     def in_stabilizer_masks(self, x: int, z: int) -> bool:
         """Membership of (x|z) in the generator row space."""
@@ -286,15 +271,6 @@ def syndrome_direct(code: StabilizerCode, error: PauliOperator) -> Syndrome:
 def bsm_psm(code: StabilizerCode) -> SyndromeMatrices:
     """Bit-flip and phase-flip syndrome matrices H_Z^T and H_X^T."""
     return SyndromeMatrices(bsm=code.h.h_z.transpose(), psm=code.h.h_x.transpose())
-
-
-def syndrome_linear(code: StabilizerCode, a: BitVector, b: BitVector) -> Syndrome:
-    """Syndrome of the error with X-support a and Z-support b: a.bsm + b.psm."""
-    if a.n != code.n or b.n != code.n:
-        raise ValueError(f"support lengths ({a.n}, {b.n}) do not match n={code.n}")
-    sm = code.syndrome_matrices
-    s = sm.bsm.vec_mat(a.bits) ^ sm.psm.vec_mat(b.bits)
-    return Syndrome(BitVector(code.num_generators, s))
 
 
 @dataclass(frozen=True)
@@ -392,72 +368,38 @@ def standard_form(code: StabilizerCode) -> StandardForm:
     perm = list(range(n))
 
     def swap_qubits(j1: int, j2: int) -> None:
-        if j1 == j2:
-            return
         perm[j1], perm[j2] = perm[j2], perm[j1]
-        for i in range(m):
-            r = rows[i]
-            for off in (0, n):
-                b1 = (r >> (j1 + off)) & 1
-                b2 = (r >> (j2 + off)) & 1
-                if b1 != b2:
-                    r ^= (1 << (j1 + off)) | (1 << (j2 + off))
-            rows[i] = r
+        for i, row in enumerate(rows):
+            # bits 0 and n of `flip` mark where the X and Z bits differ
+            flip = ((row >> j1) ^ (row >> j2)) & (1 | 1 << n)
+            rows[i] = row ^ (flip << j1) ^ (flip << j2)
 
-    def eliminate(col: int, start_row: int) -> bool:
-        """Pivot on `col` at `start_row`, clearing it from every other row."""
-        sel = None
-        for i in range(start_row, m):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
+    def place(half: int, target: int) -> bool:
+        """Pivot qubit `target` of `half` (0: X, n: Z) at row `target`.
+
+        The lowest qubit >= target with a 1 there in rows >= target is
+        swapped in first; False when there is none.
+        """
+        below = 0
+        for row in rows[target:]:
+            below |= row
+        free = (below >> (half + target)) & ((1 << (n - target)) - 1)
+        if not free:
             return False
-        rows[start_row], rows[sel] = rows[sel], rows[start_row]
-        tags[start_row], tags[sel] = tags[sel], tags[start_row]
-        for i in range(m):
-            if i != start_row and (rows[i] >> col) & 1:
-                rows[i] ^= rows[start_row]
-                tags[i] ^= tags[start_row]
+        swap_qubits(target, target + (free & -free).bit_length() - 1)
+        pivot_step(rows, tags, half + target, target)
         return True
 
     # Stage 1: bring the X half to [I A1 A2] with qubit swaps feeding pivots.
     r = 0
-    for target in range(min(n, m)):
-        found = False
-        for j in range(target, n):
-            hit = None
-            for i in range(r, m):
-                if (rows[i] >> j) & 1:
-                    hit = i
-                    break
-            if hit is not None:
-                swap_qubits(target, j)
-                eliminate(target, r)
-                found = True
-                break
-        if not found:
-            break
+    while r < min(n, m) and place(0, r):
         r += 1
 
     # Stage 2: rows below r have zero X half; bring their Z block on the last
     # n-r qubits to [D I E].  Full elimination also zeroes the middle Z block
     # of the top rows, which is the 0 in [B 0 C].
-    for idx in range(m - r):
-        target = r + idx
-        found = False
-        for j in range(target, n):
-            hit = None
-            for i in range(r + idx, m):
-                if (rows[i] >> (n + j)) & 1:
-                    hit = i
-                    break
-            if hit is not None:
-                swap_qubits(target, j)
-                eliminate(n + target, r + idx)
-                found = True
-                break
-        if not found:
+    for target in range(r, m):
+        if not place(n, target):
             # Cannot happen for a valid check matrix: the bottom rows are
             # independent and supported on the last n-r Z columns only.
             raise AssertionError("rank deficit in the lower Z block")

@@ -18,11 +18,10 @@ subset-independence loops allocation-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "BitVector",
-    "SymplecticVector",
     "PauliOperator",
     "PauliParseError",
     "Gf2Matrix",
@@ -37,7 +36,6 @@ __all__ = [
     "row_reduce",
     "gf2_invert",
     "kernel_basis",
-    "columns_subset_independent",
     "smallest_dependent_subset",
     "ALL_INDEPENDENT",
     "DEPENDENT_FOUND",
@@ -61,10 +59,6 @@ class BitVector:
             raise ValueError(f"negative length {self.n}")
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError(f"bits 0x{self.bits:x} do not fit in {self.n} coordinates")
-
-    @classmethod
-    def zeros(cls, n: int) -> BitVector:
-        return cls(n, 0)
 
     @classmethod
     def from01(cls, text: str) -> BitVector:
@@ -120,8 +114,8 @@ class BitVector:
 
 
 @dataclass(frozen=True)
-class SymplecticVector:
-    """Element of GF(2)^2n written as an (x | z) pair of length-n halves."""
+class PauliOperator:
+    """Phaseless n-qubit Pauli operator as its (x | z) pair of bit vectors."""
 
     x: BitVector
     z: BitVector
@@ -131,77 +125,27 @@ class SymplecticVector:
             raise ValueError(f"half lengths differ: {self.x.n} vs {self.z.n}")
 
     @classmethod
-    def zero(cls, n: int) -> SymplecticVector:
-        return cls(BitVector.zeros(n), BitVector.zeros(n))
+    def identity(cls, n: int) -> PauliOperator:
+        return cls.from_masks(n, 0, 0)
 
     @classmethod
-    def from_masks(cls, n: int, x: int, z: int) -> SymplecticVector:
+    def from_masks(cls, n: int, x: int, z: int) -> PauliOperator:
         return cls(BitVector(n, x), BitVector(n, z))
 
     @property
     def n(self) -> int:
         return self.x.n
 
-    def __xor__(self, other: SymplecticVector) -> SymplecticVector:
-        return SymplecticVector(self.x ^ other.x, self.z ^ other.z)
-
-    def symplectic_product(self, other: SymplecticVector) -> int:
-        """x_a.z_b + z_a.x_b mod 2; zero exactly when the operators commute."""
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return self.x.dot(other.z) ^ self.z.dot(other.x)
-
-    def is_zero(self) -> bool:
-        return self.x.bits == 0 and self.z.bits == 0
-
-
-@dataclass(frozen=True)
-class PauliOperator:
-    """Phaseless n-qubit Pauli operator backed by its symplectic vector."""
-
-    v: SymplecticVector
-
-    @classmethod
-    def identity(cls, n: int) -> PauliOperator:
-        return cls(SymplecticVector.zero(n))
-
-    @classmethod
-    def from_masks(cls, n: int, x: int, z: int) -> PauliOperator:
-        return cls(SymplecticVector.from_masks(n, x, z))
-
-    @classmethod
-    def single(cls, n: int, qubit: int, letter: str) -> PauliOperator:
-        """One non-identity factor at 0-based `qubit`."""
-        lx, lz = _LETTER_TO_XZ[letter]
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-        return cls.from_masks(n, lx << qubit, lz << qubit)
-
-    @property
-    def n(self) -> int:
-        return self.v.n
-
-    @property
-    def x(self) -> BitVector:
-        return self.v.x
-
-    @property
-    def z(self) -> BitVector:
-        return self.v.z
-
     @property
     def weight(self) -> int:
-        return symplectic_weight(self.v)
+        return symplectic_weight(self)
 
     @property
     def is_identity(self) -> bool:
-        return self.v.is_zero()
+        return self.x.bits == 0 and self.z.bits == 0
 
     def __mul__(self, other: PauliOperator) -> PauliOperator:
         return pauli_product(self, other)
-
-    def commutes_with(self, other: PauliOperator) -> bool:
-        return commutes(self, other)
 
     def __str__(self) -> str:
         return pauli_to_string(self)
@@ -258,18 +202,19 @@ def pauli_to_string(p: PauliOperator) -> str:
     )
 
 
-def symplectic_weight(v: SymplecticVector) -> int:
+def symplectic_weight(p: PauliOperator) -> int:
     """Number of qubits acted on non-trivially: w(x) + w(z) - w(x AND z)."""
-    return (v.x.bits | v.z.bits).bit_count()
+    return (p.x.bits | p.z.bits).bit_count()
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    return a.v.symplectic_product(b.v) == 0
+    """True when the symplectic product x_a.z_b + z_a.x_b vanishes mod 2."""
+    return a.x.dot(b.z) ^ a.z.dot(b.x) == 0
 
 
 def pauli_product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Phaseless product; XOR of the symplectic vectors."""
-    return PauliOperator(a.v ^ b.v)
+    return PauliOperator(a.x ^ b.x, a.z ^ b.z)
 
 
 @dataclass(frozen=True)
@@ -287,10 +232,6 @@ class Gf2Matrix:
                 raise ValueError(f"row {i} does not fit in {self.cols} columns")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[int], cols: int) -> Gf2Matrix:
-        return cls(cols, tuple(rows))
-
-    @classmethod
     def from01(cls, rows: Sequence[str]) -> Gf2Matrix:
         if not rows:
             raise ValueError("no rows given; column count would be ambiguous")
@@ -304,10 +245,6 @@ class Gf2Matrix:
     @classmethod
     def identity(cls, n: int) -> Gf2Matrix:
         return cls(n, tuple(1 << j for j in range(n)))
-
-    @classmethod
-    def zeros(cls, nrows: int, cols: int) -> Gf2Matrix:
-        return cls(cols, (0,) * nrows)
 
     @property
     def nrows(self) -> int:
@@ -340,29 +277,18 @@ class Gf2Matrix:
 
     def vec_mat(self, v: int) -> int:
         """Product of a row vector (int over nrows) with this matrix."""
+        rows = self.rows
         out = 0
-        i = 0
         while v:
-            if v & 1:
-                out ^= self.rows[i]
-            v >>= 1
-            i += 1
+            low = v & -v  # visit set bits only
+            out ^= rows[low.bit_length() - 1]
+            v ^= low
         return out
 
     def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
         if self.cols != other.nrows:
             raise ValueError(f"shape mismatch: {self.cols} cols vs {other.nrows} rows")
         return Gf2Matrix(other.cols, tuple(other.vec_mat(r) for r in self.rows))
-
-    def submatrix_columns(self, cols_idx: Sequence[int]) -> Gf2Matrix:
-        """New matrix whose column j is column cols_idx[j] of this one."""
-        out_rows = []
-        for r in self.rows:
-            nr = 0
-            for jj, j in enumerate(cols_idx):
-                nr |= ((r >> j) & 1) << jj
-            out_rows.append(nr)
-        return Gf2Matrix(len(cols_idx), tuple(out_rows))
 
     def to01(self) -> list[str]:
         return [BitVector(self.cols, r).to01() for r in self.rows]
@@ -383,28 +309,37 @@ class RowReduction:
     transform: Gf2Matrix
 
 
+def pivot_step(rows: list[int], tags: list[int], col: int, start: int) -> bool:
+    """Pivot on `col` at row `start`, in place; False when no row can.
+
+    The first row at or below `start` with a 1 in `col` moves up to `start`
+    and is cleared from every other row; `tags` (rows of the transform)
+    follow along.
+    """
+    for sel in range(start, len(rows)):
+        if (rows[sel] >> col) & 1:
+            break
+    else:
+        return False
+    rows[start], rows[sel] = rows[sel], rows[start]
+    tags[start], tags[sel] = tags[sel], tags[start]
+    pivot, tag = rows[start], tags[start]
+    for i in range(len(rows)):
+        if i != start and (rows[i] >> col) & 1:
+            rows[i] ^= pivot
+            tags[i] ^= tag
+    return True
+
+
 def row_reduce(m: Gf2Matrix) -> RowReduction:
     """Reduced row echelon form over GF(2); zero rows sink to the bottom."""
     work = list(m.rows)
     tags = [1 << i for i in range(len(work))]  # rows of the transform
-    rank = 0
     pivots: list[int] = []
     for col in range(m.cols):
-        sel = None
-        for i in range(rank, len(work)):
-            if (work[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        tags[rank], tags[sel] = tags[sel], tags[rank]
-        for i in range(len(work)):
-            if i != rank and (work[i] >> col) & 1:
-                work[i] ^= work[rank]
-                tags[i] ^= tags[rank]
-        pivots.append(col)
-        rank += 1
+        if pivot_step(work, tags, col, len(pivots)):
+            pivots.append(col)
+    rank = len(pivots)
     return RowReduction(
         reduced=Gf2Matrix(m.cols, tuple(work)),
         rank=rank,
@@ -450,9 +385,9 @@ class RowBasis:
 
     def reduce(self, v: int) -> int:
         """Residue of v after elimination against the stored pivot rows."""
+        pivot_rows = self._pivot_rows
         while v:
-            p = v.bit_length() - 1
-            row = self._pivot_rows.get(p)
+            row = pivot_rows.get(v.bit_length() - 1)
             if row is None:
                 return v
             v ^= row
@@ -473,26 +408,6 @@ class RowBasis:
         return len(self._pivot_rows)
 
 
-def columns_subset_independent(m: Gf2Matrix, cols_idx: Sequence[int]) -> bool:
-    """True when the given columns are linearly independent.
-
-    Incremental elimination with early exit on the first dependent column.
-    Indices must be distinct and in range.
-    """
-    seen = set()
-    for j in cols_idx:
-        if not 0 <= j < m.cols:
-            raise ValueError(f"column {j} out of range")
-        if j in seen:
-            raise ValueError(f"column {j} given twice")
-        seen.add(j)
-    basis = RowBasis(m.nrows)
-    for j in cols_idx:
-        if not basis.add(m.column(j)):
-            return False
-    return True
-
-
 ALL_INDEPENDENT = "all_independent"
 DEPENDENT_FOUND = "dependent_found"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -505,12 +420,16 @@ class SubsetSearch:
     `dependent` is None unless outcome == "dependent_found"; when set it is a
     minimal dependent subset (every proper subset is independent), sorted
     ascending.  `visited` counts column insertions performed, the quantity
-    capped by the budget.
+    capped by the budget.  `verified` is the largest size whose subsets were
+    all found independent: max_size when all_independent, one less than the
+    witness size when dependent_found, and the last size searched to the end
+    when the budget ran out.
     """
 
     outcome: str
     dependent: tuple[int, ...] | None
     visited: int
+    verified: int
 
 
 def smallest_dependent_subset(
@@ -522,7 +441,8 @@ def smallest_dependent_subset(
     first hit is a smallest dependent subset; because every smaller size was
     exhausted first, a hit is always minimal (a circuit).  Supersets of
     dependent subsets are never visited.  Returns "budget_exhausted" instead
-    of a verdict once `visited` would pass the budget.
+    of a verdict once `visited` would pass the budget, so `visited` never
+    exceeds it.
     """
     if max_size < 0:
         raise ValueError(f"negative subset size {max_size}")
@@ -532,29 +452,22 @@ def smallest_dependent_subset(
     ncols = m.cols
     visited = 0
 
-    def reduce_against(pivots: dict[int, int], v: int) -> int:
-        while v:
-            row = pivots.get(v.bit_length() - 1)
-            if row is None:
-                break
-            v ^= row
-        return v
-
     def search_level(size: int) -> tuple[int, ...] | None:
         # Colex DFS: choose the largest element first and iterate it
         # ascending, so subsets complete in colex order and the first hit is
         # the colex-least circuit of this size.  Zero residues cannot occur
         # at interior depths because every smaller size was exhausted first.
         nonlocal visited
-        pivots: dict[int, int] = {}
+        basis = RowBasis(m.nrows)
+        reduce, pivots = basis.reduce, basis._pivot_rows
 
         def extend(bound: int, depth: int, chosen: list[int]) -> tuple[int, ...] | None:
             nonlocal visited
             for c in range(depth - 1, bound):
-                visited += 1
-                if visited > budget:
+                if visited >= budget:
                     raise _BudgetExhausted
-                res = reduce_against(pivots, cols[c])
+                visited += 1
+                res = reduce(cols[c])
                 if res == 0:
                     return tuple(sorted(chosen + [c]))
                 if depth > 1:
@@ -568,14 +481,16 @@ def smallest_dependent_subset(
 
         return extend(ncols, size, [])
 
+    verified = 0
     try:
         for size in range(1, max_size + 1):
             hit = search_level(size)
             if hit is not None:
-                return SubsetSearch(DEPENDENT_FOUND, hit, visited)
+                return SubsetSearch(DEPENDENT_FOUND, hit, visited, verified)
+            verified = size
     except _BudgetExhausted:
-        return SubsetSearch(BUDGET_EXHAUSTED, None, visited)
-    return SubsetSearch(ALL_INDEPENDENT, None, visited)
+        return SubsetSearch(BUDGET_EXHAUSTED, None, visited, verified)
+    return SubsetSearch(ALL_INDEPENDENT, None, visited, verified)
 
 
 class _BudgetExhausted(Exception):

@@ -11,7 +11,7 @@ from stabcheck import (
     simulate,
     wilson_interval,
 )
-from stabcheck.channel import _trial_rng, sample_error
+from stabcheck.channel import _trial_rng, pool_size, sample_error
 from stabcheck.symplectic import BitVector
 
 
@@ -175,6 +175,34 @@ class TestRun:
         solo = simulate(steane, ch, 3000, 11, workers=1)
         pooled = simulate(steane, ch, 3000, 11, workers=3)
         assert solo == pooled
+
+    @pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64, -1])
+    def test_seed_outside_domain_rejected(self, steane, seed):
+        # 2**63 and 2**63+1 used to share one stream; 2**64 overflowed
+        with pytest.raises(ValueError, match="seed"):
+            simulate(steane, PauliChannel.depolarizing(0.05), 10, seed)
+
+    def test_largest_seed_runs(self, steane):
+        r = simulate(steane, PauliChannel.depolarizing(0.05), 50, 2**63 - 1)
+        assert (r.seed, r.trials) == (2**63 - 1, 50)
+
+    def test_steane_seed_7_frozen(self, steane):
+        r = simulate(steane, PauliChannel.depolarizing(0.05), 20000, 7)
+        assert r.failures == 702
+
+    @pytest.mark.parametrize(
+        "workers,spans,cpus,expected",
+        [
+            (1, 1, 8, 1),
+            (4, 4, 8, 4),
+            (64, 64, 2, 2),  # never more processes than CPUs
+            (8, 3, 16, 3),  # never more processes than spans
+            (10**6, 10**6, 4, 4),
+            (5, 5, None, 1),  # CPU count unknown
+        ],
+    )
+    def test_pool_size_caps_workers(self, workers, spans, cpus, expected):
+        assert pool_size(workers, spans, cpus) == expected
 
     def test_few_trials_fall_back_to_inline(self, steane):
         ch = PauliChannel.depolarizing(0.06)

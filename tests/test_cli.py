@@ -323,6 +323,29 @@ class TestSimulate:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("seed", [str(2**63), str(2**64), "-1"])
+    def test_seed_outside_domain_exits_2(self, seed):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "stabcheck", "simulate", "--code", STEANE,
+                "--depolarizing", "0.05", "--trials", "50", f"--seed={seed}",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: seed")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_largest_seed_runs(self, capsys):
+        res = run_json(
+            capsys,
+            "simulate", "--code", STEANE,
+            "--depolarizing", "0.05", "--trials", "50", "--seed", str(2**63 - 1),
+        )["result"]
+        assert res["seed"] == 2**63 - 1
+
     def test_workers_env_used(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "2")
         argv = (

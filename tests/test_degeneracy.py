@@ -12,15 +12,22 @@ from stabcheck import (
     Verdict,
     all_subsets_independent,
     classify,
+    column_bounds,
     css_nondegeneracy,
+    css_split,
     enumerate_errors,
     error_count,
+    five_qubit,
+    max_independence_order,
     necessary_check,
     pauli_from_string,
     pauli_to_string,
+    shor,
     standard_form,
     standard_form_shortcut,
+    steane,
     sufficient_nondegenerate,
+    three_qubit_bit_flip,
 )
 from stabcheck.degeneracy import alt_error_count, iter_error_masks, iter_weight_masks
 from stabcheck.symplectic import ALL_INDEPENDENT, DEPENDENT_FOUND
@@ -213,3 +220,63 @@ class TestColumnCriteria:
         # 4t = 8 exceeds the 6 columns of the stacked matrix
         r = classify(bitflip3, 2, with_criteria=True)
         assert "sufficient_columns" not in r.criteria
+
+
+class TestSharedSearches:
+    """Criteria read off one search equal the stand-alone searches."""
+
+    # 35 stops Steane's block searches right after every pair checks out
+    BUDGETS = (1, 4, 15, 35, 60, 250, 10**7)
+
+    @staticmethod
+    def cases():
+        fixtures = [steane(), shor(), five_qubit(), three_qubit_bit_flip()]
+        pairs = [(bch_31_11(), 1)]  # every 4-subset independent: proven
+        for code in fixtures + list(draw_codes(70, 7, seed=808, css_share=0.5)):
+            pairs += [(code, t) for t in range(1, min(code.n, 3) + 1)]
+        for code, t in pairs:
+            for budget in TestSharedSearches.BUDGETS:
+                yield code, t, budget
+
+    def test_classify_criteria_match_stand_alone(self):
+        outcomes = set()
+        for code, t, budget in self.cases():
+            expected = {
+                "necessary_columns": necessary_check(code, t, budget=budget),
+                "css_blocks": css_nondegeneracy(code, t, budget=budget),
+            }
+            if 4 * t <= 2 * code.n:
+                expected["sufficient_columns"] = sufficient_nondegenerate(
+                    code, t, budget=budget
+                )
+            got = classify(code, t, with_criteria=True, budget=budget).criteria
+            assert {k: got[k] for k in expected} == expected
+            outcomes.update(expected.values())
+        # the sample reaches every outcome, budget stops included
+        assert outcomes >= {
+            CriterionOutcome.PROVEN_NONDEGENERATE,
+            CriterionOutcome.PROVEN_DEGENERATE,
+            CriterionOutcome.INCONCLUSIVE,
+            CriterionOutcome.NONDEGENERATE,
+            CriterionOutcome.DEGENERATE,
+            CriterionOutcome.BUDGET_EXHAUSTED,
+        }
+
+    def test_column_bounds_exact_matches_css_rule(self):
+        hits = 0
+        for code, t, budget in self.cases():
+            split = css_split(code)
+            rule = False
+            if split is not None and code.k >= 1:
+                x_order, x_exh = max_independence_order(split.x_block, budget=budget)
+                z_order, z_exh = max_independence_order(split.z_block, budget=budget)
+                pattern = min(x_order, z_order) == 2 * t and not (x_exh or z_exh)
+                rule = pattern and css_nondegeneracy(
+                    code, t, budget=budget
+                ) is CriterionOutcome.NONDEGENERATE
+            exact = column_bounds(code, t, budget=budget).exact
+            assert (exact is not None) == rule
+            if rule:
+                assert exact == 2 * t + 1
+                hits += 1
+        assert hits > 0

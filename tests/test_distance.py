@@ -5,12 +5,27 @@ import pytest
 import oracles
 from conftest import bch_31_11, css_state_6_0, draw_codes, generator_strings
 from stabcheck import (
+    CriterionOutcome,
+    classify,
     column_bounds,
+    degeneracy,
+    distance,
     max_independence_order,
     min_distance,
     pauli_to_string,
     syndrome_direct,
 )
+from stabcheck.symplectic import ALL_INDEPENDENT, smallest_dependent_subset
+
+
+def rerun_verified_order(m, budget: int) -> int:
+    """Largest size whose search alone, restarted at size 1, fits the budget."""
+    order = 0
+    for size in range(1, m.cols + 1):
+        if smallest_dependent_subset(m, size, budget=budget).outcome != ALL_INDEPENDENT:
+            break
+        order = size
+    return order
 
 
 def assert_valid_logical(code, witness) -> None:
@@ -72,11 +87,26 @@ class TestIndependenceOrder:
             expected = m.cols if circuit is None else len(circuit) - 1
             assert got == expected
 
-    def test_exhaustion_returns_verified_floor(self):
-        code = bch_31_11()
-        order, exhausted = max_independence_order(code.h.h, budget=50)
-        assert exhausted
-        assert 0 <= order <= 4  # never overstated
+    def test_exhaustion_returns_verified_floor(self, monkeypatch):
+        m = bch_31_11().h.h
+        searches = []
+
+        def recording(*args, **kwargs):
+            result = smallest_dependent_subset(*args, **kwargs)
+            searches.append(result)
+            return result
+
+        monkeypatch.setattr(distance, "smallest_dependent_subset", recording)
+        orders = []
+        for budget in (50, 400, 3000, 50000):
+            searches.clear()
+            order, exhausted = max_independence_order(m, budget=budget)
+            assert exhausted
+            assert len(searches) == 1  # one search, no restarts
+            assert searches[0].visited <= budget
+            assert order == rerun_verified_order(m, budget)
+            orders.append(order)
+        assert orders == [0, 1, 2, 3]  # never overstated: the true order is 4
 
 
 class TestColumnBounds:
@@ -108,6 +138,24 @@ class TestColumnBounds:
         assert b.block_orders == (4, 4)
         assert b.exact == 5
         assert b.lower == 5 and b.upper == 5
+
+    def test_bch_criteria_and_bounds_make_six_searches(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return smallest_dependent_subset(*args, **kwargs)
+
+        for module in (degeneracy, distance):
+            monkeypatch.setattr(module, "smallest_dependent_subset", counting)
+        code = bch_31_11()
+        report = classify(code, 2, exhaustive=True, with_criteria=True)
+        bounds = column_bounds(code, 2)
+        # classify: the full matrix once (both one-sided criteria) and each
+        # CSS block once; column_bounds: the full matrix and each block once
+        assert len(calls) == 6
+        assert report.criteria["css_blocks"] is CriterionOutcome.NONDEGENERATE
+        assert bounds.exact == 5
 
     def test_bch_distance_is_five(self):
         code = bch_31_11()

@@ -11,6 +11,7 @@ from stabcheck import (
     DependentGeneratorsError,
     MixedLengthsError,
     NonCommutingGeneratorsError,
+    PauliOperator,
     StabilizerCode,
     bsm_psm,
     css_split,
@@ -20,7 +21,6 @@ from stabcheck import (
     standard_form,
     syndrome,
     syndrome_direct,
-    syndrome_linear,
     validate,
 )
 from stabcheck.symplectic import Gf2Matrix, RowBasis
@@ -108,7 +108,7 @@ class TestSyndrome:
         p = pauli_from_string("XYZIIIZ")
         a = BitVector(7, p.x.bits)
         b = BitVector(7, p.z.bits)
-        assert syndrome_linear(steane, a, b) == syndrome(steane, p)
+        assert syndrome(steane, PauliOperator(a, b)) == syndrome_direct(steane, p)
 
     def test_wrong_length_rejected(self, steane):
         with pytest.raises(ValueError):

@@ -136,8 +136,14 @@ class TestPauliAlgebra:
     @given(pauli_strings)
     def test_symplectic_weight_matches_letter_count(self, s):
         p = pauli_from_string(s)
-        assert symplectic_weight(p.v) == oracles.weight(s)
+        assert symplectic_weight(p) == oracles.weight(s)
         assert p.weight == oracles.weight(s)
+
+    def test_halves_must_match(self):
+        with pytest.raises(ValueError, match="half lengths differ"):
+            PauliOperator(BitVector(2, 0), BitVector(3, 0))
+        with pytest.raises(ValueError, match="length mismatch"):
+            commutes(pauli_from_string("XX"), pauli_from_string("XXX"))
 
 
 class TestGf2Matrix:
@@ -259,9 +265,11 @@ class TestSmallestDependentSubset:
         expected = oracles.smallest_dependent_columns(cols, max_size)
         if expected is None:
             assert s.outcome == ALL_INDEPENDENT
+            assert s.verified == max_size
         else:
             assert s.outcome == DEPENDENT_FOUND
             assert s.dependent == expected
+            assert s.verified == len(expected) - 1
 
     def test_minimality_of_witness(self):
         m = Gf2Matrix.from01(["1110", "0111"])
