@@ -196,6 +196,16 @@ def pool_size(workers: int, spans: int, cpus: int | None) -> int:
     return min(workers, spans, cpus or 1)
 
 
+def check_run_args(trials: int, seed: int, workers: int) -> None:
+    """Raise ValueError for arguments `run` rejects, before any work."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    if not 0 <= seed < 2**63:  # numpy aliases larger Philox keys, or overflows
+        raise ValueError(f"seed {seed} outside [0, 2**63)")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 def run(
     code: StabilizerCode,
     channel: PauliChannel,
@@ -213,12 +223,7 @@ def run(
     only.  `strict` demands exact error recovery instead of recovery up to a
     stabilizer element; it exists to measure how much degeneracy helps.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= seed < 2**63:  # numpy aliases larger Philox keys, or overflows
-        raise ValueError(f"seed {seed} outside [0, 2**63)")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_run_args(trials, seed, workers)
     if table is None:
         table = build_table(code)
     if workers == 1 or trials < 2 * workers:

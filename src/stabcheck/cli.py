@@ -19,7 +19,7 @@ import time
 from typing import Any, Callable
 
 from . import __version__
-from .channel import PauliChannel, build_table, run as run_channel
+from .channel import PauliChannel, build_table, check_run_args, run as run_channel
 from .codefile import read_code_file
 from .degeneracy import DEFAULT_BUDGET, CriterionOutcome, classify
 from .distance import min_distance
@@ -350,6 +350,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
     code, _ = _load(args)
     channel = _channel_from(args)
     workers = _worker_count(args)
+    check_run_args(args.trials, args.seed, workers)  # before the table fill
     table = build_table(code)
     sim = run_channel(
         code, channel, args.trials, args.seed, table=table, workers=workers

@@ -11,9 +11,8 @@ is independent, without enumerating errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .degeneracy import Verdict, classify, letter_masks
+from .degeneracy import Verdict, classify
 from .stabilizer import StabilizerCode, css_split
 from .symplectic import (
     ALL_INDEPENDENT,
@@ -31,16 +30,6 @@ __all__ = [
     "column_bounds",
     "max_independence_order",
 ]
-
-
-def _colex_combinations(n: int, w: int) -> Iterator[tuple[int, ...]]:
-    """w-subsets of range(n) in colexicographic order."""
-    if w == 0:
-        yield ()
-        return
-    for top in range(w - 1, n):
-        for rest in _colex_combinations(top, w - 1):
-            yield rest + (top,)
 
 
 @dataclass(frozen=True)
@@ -147,6 +136,78 @@ def column_bounds(
     )
 
 
+def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
+    """(x, z) masks of the first weight-w logical, or None when there is none.
+
+    A Pauli on support S has zero syndrome exactly when its X and Z bits pick
+    a dependent set of the 2|S| syndrome columns of S (rows of bsm and psm),
+    so a support needs its kernel, not all 3^w letter patterns.  Supports run
+    in colex order by the DFS of `smallest_dependent_subset`; each column
+    enters an echelon basis tagged with its operator mask (x | z << n), a
+    zero residue leaves its tag in the kernel, and backtracking undoes both.
+    On the first support whose kernel span holds a non-stabilizer using every
+    qubit of S, the lex-least letter pattern (X < Y < Z, lowest qubit most
+    significant) is returned: the operator that colex supports with lex
+    letters meet first.
+    """
+    n = code.n
+    low = (1 << n) - 1
+    sm = code.syndrome_matrices
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+
+    def push(col: int, tag: int) -> int | None:
+        """Insert one column; returns its pivot key, None for a kernel vector."""
+        while col:
+            key = col.bit_length() - 1
+            pivot = pivots.get(key)
+            if pivot is None:
+                pivots[key] = (col, tag)
+                return key
+            col ^= pivot[0]
+            tag ^= pivot[1]
+        kernel.append(tag)
+        return None
+
+    def pop(key: int | None) -> None:
+        if key is None:
+            kernel.pop()
+        else:
+            del pivots[key]
+
+    def best_on(support: int) -> tuple[int, int] | None:
+        span = [0]
+        for v in kernel:
+            span += [u ^ v for u in span]
+        qubits = [q for q in range(n) if support >> q & 1]
+        best = None
+        for v in span:
+            x, z = v & low, v >> n
+            if x | z != support or code.in_stabilizer_masks(x, z):
+                continue
+            # letter index X=0, Y=1, Z=2 is z + 1 - x on each qubit
+            key = [(z >> q & 1) + 1 - (x >> q & 1) for q in qubits]
+            if best is None or key < best[0]:
+                best = (key, (x, z))
+        return None if best is None else best[1]
+
+    def extend(bound: int, depth: int, support: int) -> tuple[int, int] | None:
+        for q in range(depth - 1, bound):
+            kx = push(sm.bsm.rows[q], 1 << q)
+            kz = push(sm.psm.rows[q], 1 << (n + q))
+            if depth > 1:
+                hit = extend(q, depth - 1, support | 1 << q)
+            else:
+                hit = best_on(support | 1 << q) if kernel else None
+            pop(kz)
+            pop(kx)
+            if hit is not None:
+                return hit
+        return None
+
+    return extend(n, w, 0)
+
+
 def min_distance(
     code: StabilizerCode,
     search_limit: int | None = None,
@@ -159,8 +220,8 @@ def min_distance(
     Weight levels ascend, so the first operator with zero syndrome outside
     the stabilizer row space is a minimum-weight logical and d is exact.
     Column bounds are attached to the result; the 4t+1 upper bound needs a
-    `t` and is omitted otherwise.  Codes with k=0 have no logical operators
-    and always exhaust the limit.
+    `t` and is omitted otherwise.  Codes with k=0 have no logical operators,
+    so they get d=None without a search.
     """
     n = code.n
     limit = n if search_limit is None else search_limit
@@ -177,17 +238,13 @@ def min_distance(
 
     d: int | None = None
     witness: PauliOperator | None = None
-    for w in range(1, limit + 1):
-        for x, z in letter_masks(_colex_combinations(n, w)):
-            if code.syndrome_masks(x, z) != 0:
-                continue
-            if code.in_stabilizer_masks(x, z):
-                continue
-            d = w
-            witness = PauliOperator.from_masks(n, x, z)
-            break
-        if d is not None:
-            break
+    if code.k >= 1:  # a stabilizer state has no logical operators
+        for w in range(1, limit + 1):
+            hit = _first_logical(code, w)
+            if hit is not None:
+                d = w
+                witness = PauliOperator.from_masks(n, *hit)
+                break
 
     return DistanceResult(
         d=d,

@@ -77,6 +77,29 @@ def min_weight_logical(generators: list[str], limit: int) -> str | None:
     return None
 
 
+def first_logical_colex(generators: list[str], limit: int) -> str | None:
+    """First logical met with supports in colex order and letters in lex order.
+
+    Weight levels ascend; within one, supports are ordered by their largest
+    qubit, then the next largest, and so on (colex), and the letters on a
+    support run X < Y < Z with the lowest qubit most significant.
+    """
+    n = len(generators[0])
+    group = span(generators)
+    for w in range(1, limit + 1):
+        supports = sorted(combinations(range(n), w), key=lambda s: s[::-1])
+        for support in supports:
+            for letters in product(LETTERS, repeat=w):
+                chars = ["I"] * n
+                for pos, letter in zip(support, letters):
+                    chars[pos] = letter
+                e = "".join(chars)
+                if syndrome_string(generators, e) == "0" * len(generators):
+                    if e not in group:
+                        return e
+    return None
+
+
 def is_degenerate(generators: list[str], t: int) -> bool:
     """Syndrome map non-injective on the weight <= t errors (identity included)."""
     n = len(generators[0])

@@ -338,6 +338,24 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seed", "-1"), ("--seed", str(2**63)), ("--trials", "0"), ("--workers", "0")],
+    )
+    def test_bad_run_args_exit_2_before_table_build(self, capsys, monkeypatch, flag, value):
+        def no_table(code):
+            raise AssertionError("table built for a rejected simulate")
+
+        monkeypatch.setattr(cli, "build_table", no_table)
+        rc, out, err = run(
+            capsys,
+            "simulate", "--code", STEANE, "--depolarizing", "0.05", f"{flag}={value}",
+        )
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_largest_seed_runs(self, capsys):
         res = run_json(
             capsys,

@@ -6,10 +6,12 @@ import oracles
 from conftest import bch_31_11, css_state_6_0, draw_codes, generator_strings
 from stabcheck import (
     CriterionOutcome,
+    StabilizerCode,
     classify,
     column_bounds,
     degeneracy,
     distance,
+    is_css,
     max_independence_order,
     min_distance,
     pauli_to_string,
@@ -177,6 +179,27 @@ class TestColumnBounds:
         assert b.upper is None
         assert min_distance(code).d is None
 
+    def test_bch_weight_five_witness_frozen(self):
+        res = min_distance(bch_31_11(), 5)
+        assert res.d == 5
+        assert pauli_to_string(res.witness) == "XIXIIIIXXIIIIXIIIIIIIIIIIIIIIII"
+
+    def test_large_stabilizer_state_skips_the_search(self, monkeypatch):
+        # a 30-qubit GHZ state: searching its 4^30 operators would never end
+        n = 30
+        gens = ["X" * n] + ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+        code = StabilizerCode.from_strings(*gens)
+        assert code.k == 0
+
+        def no_search(code, w):
+            raise AssertionError("k=0 code searched for logicals")
+
+        monkeypatch.setattr(distance, "_first_logical", no_search)
+        res = min_distance(code)
+        assert res.d is None and res.witness is None
+        assert res.search_limit == n
+        assert res.lower == 2 * (res.max_independence_order // 4) + 1
+
     def test_bad_t(self, steane):
         with pytest.raises(ValueError):
             column_bounds(steane, 0)
@@ -222,6 +245,22 @@ class TestRandomConsistency:
             lib = min_distance(code).d
             naive = oracles.min_weight_logical(generator_strings(code), code.n)
             assert lib == (None if naive is None else oracles.weight(naive))
+
+    def test_witness_matches_colex_oracle(self, steane, shor, five_qubit, bitflip3):
+        codes = [steane, shor, five_qubit, bitflip3]
+        codes += draw_codes(60, 8, seed=2718, css_share=0.3)
+        kinds = set()
+        for code in codes:
+            res = min_distance(code)
+            gens = generator_strings(code)
+            naive = oracles.first_logical_colex(gens, code.n)
+            got = None if res.witness is None else pauli_to_string(res.witness)
+            assert got == naive
+            if naive is not None:
+                kinds.add("css" if is_css(code) else "non_css")
+                if oracles.is_degenerate(gens, 1):
+                    kinds.add("degenerate")
+        assert kinds == {"css", "non_css", "degenerate"}
 
     def test_bounds_bracket_distance(self):
         for code in draw_codes(120, 7, seed=5150, css_share=0.25):
