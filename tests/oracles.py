@@ -2,12 +2,17 @@
 
 Everything here works on letter strings, tuples and sets instead of packed
 integers, so a bug in the library's bit tricks cannot hide in both routes.
-Only suitable for small instances; that is the point.
+Only suitable for small instances; that is the point.  The one exception is
+`simulate_failures`, which draws its errors with the library's per-trial
+reference sampler, the stream that the batched sampler must reproduce.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+
+from stabcheck import PauliOperator, pauli_to_string, syndrome_direct
+from stabcheck.channel import _trial_rng, sample_error
 
 LETTERS = "XYZ"
 
@@ -133,3 +138,28 @@ def smallest_dependent_columns(columns: list[int], max_size: int) -> tuple[int, 
         if best is not None:
             return best
     return None
+
+
+def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict: bool = False) -> int:
+    """Failures of `simulate`, one trial at a time from the reference sampler.
+
+    Trial t's error is `sample_error(channel, n, _trial_rng(seed, t))`; its
+    syndrome comes from `syndrome_direct`, and a recovery succeeds when the
+    residual string is the identity (strict) or in the generators' span.
+    """
+    n = code.n
+    group = span([pauli_to_string(g) for g in code.h.generators])
+    failures = 0
+    for trial in range(trials):
+        err = sample_error(channel, n, _trial_rng(seed, trial))
+        rep = table.get(syndrome_direct(code, err).bits.bits)
+        if rep is None:
+            failures += 1
+            continue
+        residual = multiply(
+            pauli_to_string(err), pauli_to_string(PauliOperator.from_masks(n, *rep))
+        )
+        ok = residual == "I" * n if strict else residual in group
+        if not ok:
+            failures += 1
+    return failures

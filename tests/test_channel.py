@@ -1,17 +1,29 @@
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 import oracles
-from conftest import generator_strings
+from conftest import draw_codes, generator_strings
 from stabcheck import (
     PauliChannel,
     build_table,
+    channel,
+    is_css,
     pauli_to_string,
+    random_code,
     simulate,
     wilson_interval,
 )
-from stabcheck.channel import _trial_rng, pool_size, sample_error
+from stabcheck.channel import (
+    _sample_masks,
+    _trial_rng,
+    _uniforms,
+    pool_size,
+    sample_error,
+)
 from stabcheck.symplectic import BitVector
 
 
@@ -91,8 +103,10 @@ class TestSampling:
         b = sample_error(ch, 6, _trial_rng(7, 3))
         assert a == b
         c = sample_error(ch, 6, _trial_rng(7, 4))
+        assert a != c
+        # a key differing in the seed alone changes the draws of a shared prefix
         d = sample_error(ch, 8, _trial_rng(8, 3))
-        assert (a, a.n) != (c, d.n) or a != c  # different keys, different draws
+        assert pauli_to_string(d)[:6] != pauli_to_string(a)
 
     def test_pure_x_channel(self):
         p = sample_error(PauliChannel(1.0, 0.0, 0.0), 4, _trial_rng(1, 0))
@@ -116,6 +130,81 @@ class TestSampling:
         total = sum(counts.values())
         for c, got in counts.items():
             assert abs(got / total - 0.25) < 0.03, counts
+
+
+class TestBatchedStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_uniforms_equal_numpy_philox(self, seed):
+        for start in (0, 1, 2**32 - 1, 2**32, 2**40 + 3):
+            for n in (1, 4, 5, 8, 9, 31, 65):
+                got = _uniforms(seed, start, start + 3, n)
+                assert got.shape == (3, n)
+                for row, trial in zip(got, range(start, start + 3)):
+                    want = np.random.Generator(np.random.Philox(key=[seed, trial]))
+                    assert row.tobytes() == want.random(n).tobytes(), (trial, n)
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            PauliChannel(1.0, 0.0, 0.0),
+            PauliChannel(0.0, 0.0, 1.0),
+            PauliChannel(0.0, 0.0, 0.0),
+            PauliChannel(0.1, 0.2, 0.7),  # the float sum rounds past 1
+            PauliChannel(0.07, 0.01, 0.19),
+        ],
+    )
+    def test_masks_equal_per_trial_sampler(self, ch):
+        for n in (1, 5, 8, 9, 31, 65, 70):
+            masks = _sample_masks(ch, n, 11, 2**32 - 20, 2**32 + 20)
+            assert len(masks) == 40
+            for trial, (x, z) in enumerate(masks, start=2**32 - 20):
+                err = sample_error(ch, n, _trial_rng(11, trial))
+                assert (x, z) == (err.x.bits, err.z.bits), (n, trial)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_failures_match_per_trial_oracle(self, strict):
+        ch = PauliChannel(0.06, 0.03, 0.05)
+        kinds = set()
+        mixed = 0  # runs with both failures and successes
+        for i, code in enumerate(draw_codes(14, 8, seed=515, css_share=0.4)):
+            for table in (build_table(code), build_table(code, 1)):
+                kinds.add((is_css(code), table.full))
+                expected = oracles.simulate_failures(code, ch, 300, i, table.table, strict)
+                mixed += 0 < expected < 300
+                for workers in (1, 3) if i % 4 == 0 else (1,):
+                    r = simulate(code, ch, 300, i, table=table, workers=workers, strict=strict)
+                    assert r.failures == expected, (i, workers)
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        assert mixed >= 10
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunk_size_is_invisible(self, steane, monkeypatch, chunk):
+        ch = PauliChannel.depolarizing(0.08)
+        t = build_table(steane)
+        counts = [trials for trials in (500, chunk - 1, chunk, chunk + 1) if trials > 0]
+        whole = [simulate(steane, ch, trials, 8, table=t) for trials in counts]
+        monkeypatch.setattr(channel, "_CHUNK", chunk)
+        assert [simulate(steane, ch, trials, 8, table=t) for trials in counts] == whole
+
+    def test_chunk_boundary_matches_oracle(self, steane):
+        ch = PauliChannel.depolarizing(0.08)
+        t = build_table(steane)
+        for trials in (channel._CHUNK - 1, channel._CHUNK, channel._CHUNK + 1):
+            expected = oracles.simulate_failures(steane, ch, trials, 4, t.table)
+            assert simulate(steane, ch, trials, 4, table=t).failures == expected
+
+    def test_wide_code_matches_oracle(self):
+        code = random_code(70, 10, random.Random(70))
+        table = build_table(code, 1)
+        assert not table.full
+        ch = PauliChannel(0.002, 0.001, 0.002)
+        masks = _sample_masks(ch, 70, 5, 0, 400)
+        assert any((x | z) >> 64 for x, z in masks)  # errors reach the ninth byte
+        expected = oracles.simulate_failures(code, ch, 400, 5, table.table)
+        assert 0 < expected < 400
+        assert simulate(code, ch, 400, 5, table=table).failures == expected
 
 
 class TestWilson:
