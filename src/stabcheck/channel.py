@@ -73,9 +73,10 @@ class DecoderTable:
     """Minimum-weight representative per syndrome.
 
     Built breadth-first by weight, identity first, so each syndrome keeps the
-    lightest error that produces it (ties: first in enumeration order).
-    Coverage may be partial when max_weight cuts the fill short; decoding an
-    uncovered syndrome counts as a failure.
+    lightest error that produces it (ties: first in enumeration order).  The
+    fill stops as soon as every syndrome is claimed, so max_weight is the
+    level at which the map filled.  Coverage may be partial when max_weight
+    cuts the fill short; decoding an uncovered syndrome counts as a failure.
     """
 
     table: dict[int, tuple[int, int]]
@@ -111,6 +112,8 @@ def build_table(code: StabilizerCode, max_weight: int | None = None) -> DecoderT
             s = code.syndrome_masks(x, z)
             if s not in table:
                 table[s] = (x, z)
+                if len(table) == total:
+                    break
     return DecoderTable(table=table, max_weight=reached, num_syndromes=total)
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .stabilizer import StabilizerCode, StandardForm, css_split, standard_form
 from .symplectic import (
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET,
     DEPENDENT_FOUND,
     Gf2Matrix,
     PauliOperator,
@@ -48,8 +49,6 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-DEFAULT_BUDGET = 10**7
-
 # Letters in lexicographic order X < Y < Z as (x, z) bit pairs.
 LETTER_MASKS = ((1, 0), (1, 1), (0, 1))
 
@@ -69,22 +68,6 @@ class CriterionOutcome(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-def letter_masks(supports: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
-    """(x, z) masks of every letter pattern on each support in turn.
-
-    Supports are taken in the order given; on each, letter patterns run in
-    lexicographic order over X < Y < Z.
-    """
-    for support in supports:
-        for letters in product(LETTER_MASKS, repeat=len(support)):
-            x = 0
-            z = 0
-            for pos, (lx, lz) in zip(support, letters):
-                x |= lx << pos
-                z |= lz << pos
-            yield x, z
-
-
 def iter_weight_masks(n: int, w: int) -> Iterator[tuple[int, int]]:
     """(x, z) masks of the Paulis of weight exactly w.
 
@@ -93,7 +76,14 @@ def iter_weight_masks(n: int, w: int) -> Iterator[tuple[int, int]]:
     """
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} outside 0..{n}")
-    return letter_masks(combinations(range(n), w))
+    for support in combinations(range(n), w):
+        for letters in product(LETTER_MASKS, repeat=w):
+            x = 0
+            z = 0
+            for pos, (lx, lz) in zip(support, letters):
+                x |= lx << pos
+                z |= lz << pos
+            yield x, z
 
 
 def iter_error_masks(n: int, t: int) -> Iterator[tuple[int, int]]:
@@ -167,8 +157,10 @@ class ClassificationReport:
     errors; the zero syndrome belongs to the identity and is never claimed.
     It is complete when the verdict is nondegenerate or the run was
     exhaustive, otherwise it reflects the prefix scanned before the first
-    collision.  collision_count is None on an early-exit degenerate verdict.
-    Both counting formulas are recorded; neither decides the verdict.
+    collision.  Every enumerated error either claims a new syndrome or
+    collides, so collision_count is expected_count - syndrome_count; it is
+    None on an early-exit degenerate verdict.  Both counting formulas are
+    recorded; neither decides the verdict.
     """
 
     verdict: Verdict
@@ -191,43 +183,35 @@ def classify(
 ) -> ClassificationReport:
     """Exact degeneracy verdict by syndrome-map injectivity.
 
-    Streams the weight-1..t enumeration, recording first-seen errors per
-    syndrome; the zero syndrome is pre-claimed by the identity.  Stops at the
-    first collision unless `exhaustive`, which keeps counting collisions and
-    distinct syndromes for the report.  The verdict never depends on the two
-    recorded counting formulas, only on injectivity.
+    Streams the weight-1..t enumeration into a syndrome -> error map, each
+    syndrome kept by the first error that claims it; the zero syndrome is
+    pre-claimed by the identity.  Stops at the first collision unless
+    `exhaustive`, which keeps filling the map to count distinct syndromes,
+    and stops once all 2^(n-k) syndromes are claimed, since every later
+    error can only collide.  The verdict never depends on the two recorded
+    counting formulas, only on injectivity.
 
     `with_criteria` additionally evaluates the column criteria (budgeted) and
     files their outcomes under "sufficient_columns", "necessary_columns",
     "css_blocks" and "standard_form"; "exact" is always present.
     """
     n = code.n
-    seen: dict[int, tuple[int, int] | None] = {0: None}  # None marks identity
+    total = 1 << code.num_generators
+    table: dict[int, tuple[int, int]] = {0: (0, 0)}
     witness: CollisionWitness | None = None
-    collisions = 0
-    distinct = 0
     for x, z in iter_error_masks(n, t):
         s = code.syndrome_masks(x, z)
-        prev = seen.get(s, _MISSING)
-        if prev is _MISSING:
-            seen[s] = (x, z)
-            distinct += 1
-            continue
-        collisions += 1
-        if witness is None:
-            if prev is None:
-                first = PauliOperator.identity(n)
-                px, pz = x, z  # product with identity is the error itself
-            else:
-                first = PauliOperator.from_masks(n, prev[0], prev[1])
-                px, pz = prev[0] ^ x, prev[1] ^ z
+        if s not in table:
+            table[s] = (x, z)
+        elif witness is None:
+            fx, fz = table[s]
             witness = CollisionWitness(
-                first=first,
+                first=PauliOperator.from_masks(n, fx, fz),
                 second=PauliOperator.from_masks(n, x, z),
-                product_in_stabilizer=code.in_stabilizer_masks(px, pz),
+                product_in_stabilizer=code.in_stabilizer_masks(fx ^ x, fz ^ z),
             )
-            if not exhaustive:
-                break
+        if witness is not None and (not exhaustive or len(table) == total):
+            break
 
     verdict = Verdict.NONDEGENERATE if witness is None else Verdict.DEGENERATE
     criteria: dict[str, CriterionOutcome] = {
@@ -245,19 +229,18 @@ def classify(
         criteria["necessary_columns"] = _necessary_outcome(search, t)
         criteria["css_blocks"] = css_nondegeneracy(code, t, budget=budget)
         criteria["standard_form"] = standard_form_shortcut(standard_form(code), t)
+    distinct = len(table) - 1
+    expected = error_count(n, t)
     return ClassificationReport(
         verdict=verdict,
         t=t,
         witness=witness,
         syndrome_count=distinct,
-        expected_count=error_count(n, t),
+        expected_count=expected,
         alt_expected_count=alt_error_count(n, t),
-        collision_count=collisions if exhaustive or witness is None else None,
+        collision_count=expected - distinct if exhaustive or witness is None else None,
         criteria=criteria,
     )
-
-
-_MISSING = object()
 
 
 def _selected_block(code: StabilizerCode, which: str) -> Gf2Matrix:

@@ -17,6 +17,7 @@ from .stabilizer import StabilizerCode, css_split
 from .symplectic import (
     ALL_INDEPENDENT,
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET,
     Gf2Matrix,
     PauliOperator,
     row_reduce,
@@ -77,13 +78,15 @@ class ColumnBounds:
 
 
 def max_independence_order(
-    m: Gf2Matrix, *, budget: int = 10**7
+    m: Gf2Matrix, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, bool]:
     """Largest m such that every m-subset of columns is independent.
 
     Returns (order, budget_exhausted).  On exhaustion the order is the
     largest size fully verified, a valid lower bound for the true order.
     """
+    if budget < 0:
+        raise ValueError(f"negative budget {budget}")
     red = row_reduce(m)
     if red.rank == m.cols:
         return m.cols, False
@@ -95,7 +98,7 @@ def max_independence_order(
 
 
 def column_bounds(
-    code: StabilizerCode, t: int, *, budget: int = 10**7
+    code: StabilizerCode, t: int, *, budget: int = DEFAULT_BUDGET
 ) -> ColumnBounds:
     """Distance bounds from column independence of the check matrix."""
     if not 1 <= t <= code.n:
@@ -213,7 +216,7 @@ def min_distance(
     search_limit: int | None = None,
     *,
     t: int | None = None,
-    budget: int = 10**7,
+    budget: int = DEFAULT_BUDGET,
 ) -> DistanceResult:
     """Exhaustive minimum-distance search up to `search_limit` (default n).
 

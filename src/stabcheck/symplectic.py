@@ -40,6 +40,7 @@ __all__ = [
     "ALL_INDEPENDENT",
     "DEPENDENT_FOUND",
     "BUDGET_EXHAUSTED",
+    "DEFAULT_BUDGET",
 ]
 
 
@@ -412,6 +413,8 @@ ALL_INDEPENDENT = "all_independent"
 DEPENDENT_FOUND = "dependent_found"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
+DEFAULT_BUDGET = 10**7
+
 
 @dataclass(frozen=True)
 class SubsetSearch:
@@ -433,7 +436,7 @@ class SubsetSearch:
 
 
 def smallest_dependent_subset(
-    m: Gf2Matrix, max_size: int, *, budget: int = 10**7
+    m: Gf2Matrix, max_size: int, *, budget: int = DEFAULT_BUDGET
 ) -> SubsetSearch:
     """Search all column subsets of size <= max_size for a dependent one.
 
@@ -442,8 +445,11 @@ def smallest_dependent_subset(
     exhausted first, a hit is always minimal (a circuit).  Supersets of
     dependent subsets are never visited.  Returns "budget_exhausted" instead
     of a verdict once `visited` would pass the budget, so `visited` never
-    exceeds it.
+    exceeds it.  A negative budget is rejected; a zero budget stops before
+    the first visit.
     """
+    if budget < 0:
+        raise ValueError(f"negative budget {budget}")
     if max_size < 0:
         raise ValueError(f"negative subset size {max_size}")
     if max_size > m.cols:

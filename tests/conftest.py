@@ -31,6 +31,20 @@ def bitflip3() -> sc.StabilizerCode:
     return sc.three_qubit_bit_flip()
 
 
+@pytest.fixture
+def syndrome_calls(monkeypatch):
+    """Record StabilizerCode.syndrome_masks calls; read the list's length."""
+    calls = []
+    inner = sc.StabilizerCode.syndrome_masks
+
+    def counted(self, x, z):
+        calls.append((x, z))
+        return inner(self, x, z)
+
+    monkeypatch.setattr(sc.StabilizerCode, "syndrome_masks", counted)
+    return calls
+
+
 def draw_code(rng: random.Random, max_n: int, css_share: float = 0.0) -> sc.StabilizerCode:
     """One random valid code; a css_share fraction of draws is CSS by design."""
     while True:

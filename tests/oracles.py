@@ -117,6 +117,29 @@ def is_degenerate(generators: list[str], t: int) -> bool:
     return False
 
 
+def claim_syndromes(generators: list[str], t: int):
+    """Fill a syndrome -> error map from the weight 1..t errors, identity first.
+
+    Returns (distinct non-zero syndromes, first collision as (claimant,
+    error) or None, 1-based index of the error that claimed the last free
+    syndrome or None when the map never fills).
+    """
+    n = len(generators[0])
+    claims = {syndrome_string(generators, "I" * n): "I" * n}
+    collision = None
+    filled_at = None
+    for i, e in enumerate(errors_up_to(n, t), start=1):
+        s = syndrome_string(generators, e)
+        if s in claims:
+            if collision is None:
+                collision = (claims[s], e)
+            continue
+        claims[s] = e
+        if len(claims) == 2 ** len(generators):
+            filled_at = i
+    return len(claims) - 1, collision, filled_at
+
+
 def smallest_dependent_columns(columns: list[int], max_size: int) -> tuple[int, ...] | None:
     """Colex-least zero-XOR subset of the smallest size, by brute force.
 

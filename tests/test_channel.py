@@ -18,6 +18,7 @@ from stabcheck import (
     wilson_interval,
 )
 from stabcheck.channel import (
+    _mulhilo,
     _sample_masks,
     _trial_rng,
     _uniforms,
@@ -76,6 +77,16 @@ class TestDecoderTable:
     def test_cap_out_of_range(self, steane):
         with pytest.raises(ValueError):
             build_table(steane, 8)
+
+    @pytest.mark.parametrize(
+        "maker,calls,max_weight",
+        [("steane", 137, 2), ("shor", 1976, 3), ("bitflip3", 7, 1)],
+    )
+    def test_fill_stops_when_full(self, request, syndrome_calls, maker, calls, max_weight):
+        t = build_table(request.getfixturevalue(maker))
+        assert t.full
+        assert len(syndrome_calls) == calls
+        assert t.max_weight == max_weight
 
     def test_representatives_have_minimal_weight(self, steane):
         gens = generator_strings(steane)
@@ -142,6 +153,21 @@ class TestBatchedStream:
                 for row, trial in zip(got, range(start, start + 3)):
                     want = np.random.Generator(np.random.Philox(key=[seed, trial]))
                     assert row.tobytes() == want.random(n).tobytes(), (trial, n)
+
+    def test_philox_arithmetic_stays_uint64(self):
+        # NumPy 1.x promotes uint64 mixed with a Python int to float64, which
+        # would silently round the words; every constant must be np.uint64.
+        names = [n for n in vars(channel) if n.startswith("_PHILOX_")]
+        assert len(names) == 4
+        for name in names + ["_LOW32", "_U32", "_U11"]:
+            assert type(getattr(channel, name)) is np.uint64, name
+        a = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+        hi, lo = _mulhilo(a, channel._PHILOX_M0)
+        assert hi.dtype == lo.dtype == np.uint64
+        m = int(channel._PHILOX_M0)
+        assert [(int(h) << 64) | int(l) for h, l in zip(hi, lo)] == [
+            int(v) * m for v in a
+        ]
 
     @pytest.mark.parametrize(
         "ch",

@@ -419,6 +419,19 @@ class TestInputErrors:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command,budget", [("classify", "-3"), ("distance", "-1")])
+    def test_negative_budget_exits_2(self, capsys, command, budget):
+        rc, out, err = run(capsys, command, "--code", STEANE, "--budget", budget)
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["classify", "distance"])
+    def test_zero_budget_exits_3(self, capsys, command):
+        rc, _, _ = run(capsys, command, "--code", STEANE, "--budget", "0")
+        assert rc == 3
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

@@ -152,6 +152,50 @@ class TestClassifyAgainstOracle:
                 assert (product in oracles.span(gens)) == lib.witness.product_in_stabilizer
 
 
+class TestFullMapStop:
+    """Exhaustive classify stops once all 2^(n-k) syndromes are claimed."""
+
+    def test_steane_t2_stops_when_full(self, steane, syndrome_calls):
+        r = classify(steane, 2, exhaustive=True)
+        assert len(syndrome_calls) == 137  # of 210 errors
+        assert (r.syndrome_count, r.collision_count) == (63, 210 - 63)
+
+    def test_five_qubit_t2_stops_after_the_witness(self, five_qubit, syndrome_calls):
+        # the 15 single-qubit errors fill the perfect code's map; the 16th
+        # error is the first collision
+        r = classify(five_qubit, 2, exhaustive=True)
+        assert len(syndrome_calls) == 16
+        assert (r.syndrome_count, r.collision_count) == (15, 105 - 15)
+        assert pauli_to_string(r.witness.second) == "XXIII"
+
+    def test_random_codes_against_oracle(self):
+        filled_early = 0
+        kinds = set()
+        codes = [five_qubit(), three_qubit_bit_flip()]
+        codes += draw_codes(30, 6, seed=606, css_share=0.3)
+        for i, code in enumerate(codes):
+            gens = generator_strings(code)
+            for t in range(1, code.n + 1):
+                r = classify(code, t, exhaustive=True)
+                distinct, collision, filled_at = oracles.claim_syndromes(gens, t)
+                total = error_count(code.n, t)
+                assert r.syndrome_count == distinct, (i, gens, t)
+                assert r.collision_count == total - distinct, (i, gens, t)
+                if collision is None:
+                    kinds.add("none")
+                    assert r.witness is None
+                else:
+                    pair = (pauli_to_string(r.witness.first), pauli_to_string(r.witness.second))
+                    assert pair == collision, (i, gens, t)
+                    kinds.add("identity" if collision[0] == "I" * code.n else "pair")
+                    product = oracles.multiply(*collision)
+                    assert r.witness.product_in_stabilizer == (product in oracles.span(gens))
+                if filled_at is not None and filled_at < total:
+                    filled_early += 1
+        assert filled_early > 0
+        assert kinds == {"none", "identity", "pair"}
+
+
 class TestColumnCriteria:
     def test_sufficient_proves_bch_at_t1(self):
         code = bch_31_11()

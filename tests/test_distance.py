@@ -17,7 +17,7 @@ from stabcheck import (
     pauli_to_string,
     syndrome_direct,
 )
-from stabcheck.symplectic import ALL_INDEPENDENT, smallest_dependent_subset
+from stabcheck.symplectic import ALL_INDEPENDENT, Gf2Matrix, smallest_dependent_subset
 
 
 def rerun_verified_order(m, budget: int) -> int:
@@ -88,6 +88,12 @@ class TestIndependenceOrder:
             circuit = oracles.smallest_dependent_columns(cols, m.cols)
             expected = m.cols if circuit is None else len(circuit) - 1
             assert got == expected
+
+    def test_negative_budget_rejected_before_full_rank_shortcut(self):
+        m = Gf2Matrix.identity(4)
+        assert max_independence_order(m, budget=0) == (4, False)
+        with pytest.raises(ValueError, match="negative budget"):
+            max_independence_order(m, budget=-1)
 
     def test_exhaustion_returns_verified_floor(self, monkeypatch):
         m = bch_31_11().h.h

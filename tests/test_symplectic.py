@@ -256,6 +256,13 @@ class TestSmallestDependentSubset:
         assert s.outcome == BUDGET_EXHAUSTED
         assert s.visited >= 10
 
+    def test_negative_budget_rejected(self):
+        m = Gf2Matrix.identity(3)
+        with pytest.raises(ValueError, match="negative budget"):
+            smallest_dependent_subset(m, 2, budget=-1)
+        s = smallest_dependent_subset(m, 2, budget=0)
+        assert (s.outcome, s.visited, s.verified) == (BUDGET_EXHAUSTED, 0, 0)
+
     @given(small_matrices, st.integers(1, 5))
     @settings(max_examples=150)
     def test_matches_brute_force(self, m, max_size):
