@@ -21,10 +21,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, combinations, islice, product
+from typing import Iterator
 
 import numpy as np
 
-from .degeneracy import iter_weight_masks
 from .stabilizer import StabilizerCode
 from .symplectic import PauliOperator
 
@@ -73,10 +74,12 @@ class DecoderTable:
     """Minimum-weight representative per syndrome.
 
     Built breadth-first by weight, identity first, so each syndrome keeps the
-    lightest error that produces it (ties: first in enumeration order).  The
-    fill stops as soon as every syndrome is claimed, so max_weight is the
-    level at which the map filled.  Coverage may be partial when max_weight
-    cuts the fill short; decoding an uncovered syndrome counts as a failure.
+    lightest error that produces it (ties: first in enumeration order), the
+    same first-claim rule as `classify`, computed one chunk of a weight level
+    at a time.  The fill stops in the chunk in which every syndrome is
+    claimed, so max_weight is the level at which the map filled.  Coverage
+    may be partial when max_weight cuts the fill short; decoding an
+    uncovered syndrome counts as a failure.
     """
 
     table: dict[int, tuple[int, int]]
@@ -96,25 +99,146 @@ class DecoderTable:
         return self.num_syndromes - self.covered
 
 
+# Errors evaluated per chunk of a weight level in `build_table`, and the
+# trailing letters that index a chunk's columns: 3**8 columns fit a chunk.
+_FILL_CHUNK = 1 << 14
+_TAIL_LETTERS = 8
+
+# Most entries `build_table` will fill.  Building the full [[31,11,5]]
+# table, 2**20 entries, peaks at about 200 MB RSS, and an entry takes at most
+# about 200 bytes when no masks are shared, so 2**22 entries stay under 1 GB.
+_MAX_TABLE_ENTRIES = 1 << 22
+
+# Widest syndrome the fill holds in int64.
+_MAX_SYNDROME_BITS = 62
+
+
 def build_table(code: StabilizerCode, max_weight: int | None = None) -> DecoderTable:
-    """Fill the syndrome table up to max_weight (default: until full)."""
-    total = 1 << code.num_generators
+    """Fill the syndrome table up to max_weight (default: until full).
+
+    Each weight level is evaluated a chunk at a time as an int64 matrix of
+    syndromes in enumeration order (supports in lex order, letters in lex
+    order over X < Y < Z), XOR-gathered from the per-qubit letter syndromes.
+    `np.unique` gives each syndrome's first occurrence in the chunk; those
+    not in the table (a sorted copy of its keys answers that) are claimed in
+    that order, and only their masks are expanded.  Once the map is full
+    every later error can only collide, so the fill stops after that chunk.
+    Raises ValueError before any work when the syndromes do not fit in int64
+    or the table could pass `_MAX_TABLE_ENTRIES` entries.
+    """
+    n, m = code.n, code.num_generators
+    limit = n if max_weight is None else max_weight
+    if not 0 <= limit <= n:
+        raise ValueError(f"max_weight {limit} outside 0..{n}")
+    if m > _MAX_SYNDROME_BITS:
+        raise ValueError(
+            f"{m} syndrome bits exceed the decoder table's {_MAX_SYNDROME_BITS}"
+        )
+    total = 1 << m
+    bound = min(total, sum(math.comb(n, w) * 3**w for w in range(limit + 1)))
+    if bound > _MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"decoder table could hold {bound} entries, "
+            f"more than the cap of {_MAX_TABLE_ENTRIES}"
+        )
+    letters = _letter_syndromes(code)
     table: dict[int, tuple[int, int]] = {0: (0, 0)}
-    limit = code.n if max_weight is None else max_weight
-    if not 0 <= limit <= code.n:
-        raise ValueError(f"max_weight {limit} outside 0..{code.n}")
+    claimed = np.zeros(bound, dtype=np.int64)  # table keys, sorted, in [:len(table)]
+    # one int object per distinct mask: the 2**20 entries of the [[31,11,5]]
+    # table hold 17,623 distinct masks, so sharing them saves ~60 MB
+    shared: dict[int, int] = {}
     reached = 0
     for w in range(1, limit + 1):
         if len(table) == total:
             break
         reached = w
-        for x, z in iter_weight_masks(code.n, w):
-            s = code.syndrome_masks(x, z)
-            if s not in table:
-                table[s] = (x, z)
-                if len(table) == total:
-                    break
+        # the last `h` letters of each error index the chunk's columns; a row
+        # is a support with the letters before them (none while 3**w fits)
+        h = min(w, _TAIL_LETTERS)
+        tails = np.array(list(product(range(3), repeat=h)), dtype=np.intp)
+        rows = _level_rows(n, w, h)
+        while len(table) < total:
+            block = np.fromiter(
+                chain.from_iterable(islice(rows, max(1, _FILL_CHUNK // len(tails)))),
+                dtype=np.intp,
+            ).reshape(-1, 2 * w - h)
+            if not len(block):
+                break
+            supports, heads = block[:, :w], block[:, w:]
+            values, first = np.unique(
+                _chunk_syndromes(letters, supports, heads, tails), return_index=True
+            )
+            keys = claimed[: len(table)]
+            at = np.searchsorted(keys, values)
+            fresh = keys[np.minimum(at, len(keys) - 1)] != values
+            if not fresh.any():
+                continue
+            _merge_sorted(claimed, len(table), values[fresh], at[fresh])
+            order = np.argsort(first[fresh])
+            values, first = values[fresh][order], first[fresh][order]
+            r, c = np.divmod(first, len(tails))
+            masks = _error_masks(
+                n, supports[r], np.hstack((heads[r], tails[c])), shared
+            )
+            table.update(zip(values.tolist(), masks))
     return DecoderTable(table=table, max_weight=reached, num_syndromes=total)
+
+
+def _merge_sorted(
+    buf: np.ndarray, size: int, values: np.ndarray, at: np.ndarray
+) -> None:
+    """Insert sorted `values` at positions `at` of the sorted buf[:size], in place."""
+    lo = int(at[0])
+    dest = at + np.arange(len(values))
+    moved = np.ones(size + len(values) - lo, dtype=bool)
+    moved[dest - lo] = False
+    buf[lo : size + len(values)][moved] = buf[lo:size].copy()
+    buf[dest] = values
+
+
+def _letter_syndromes(code: StabilizerCode) -> np.ndarray:
+    """Row q: the syndromes of X, Y and Z on qubit q, as int64."""
+    sm = code.syndrome_matrices
+    rows = [(b, b ^ p, p) for b, p in zip(sm.bsm.rows, sm.psm.rows)]
+    return np.array(rows, dtype=np.int64)
+
+
+def _level_rows(n: int, w: int, h: int) -> Iterator[tuple[int, ...]]:
+    """Support + leading w - h letters of each weight-w row, in enumeration order."""
+    for support in combinations(range(n), w):
+        for head in product(range(3), repeat=w - h):
+            yield support + head
+
+
+def _chunk_syndromes(
+    letters: np.ndarray, supports: np.ndarray, heads: np.ndarray, tails: np.ndarray
+) -> np.ndarray:
+    """Syndromes of a chunk, flat in enumeration order: row-major over
+    (support and leading letters) x (trailing letters)."""
+    lead = heads.shape[1]
+    row = np.zeros(len(supports), dtype=np.int64)
+    for j in range(lead):
+        row ^= letters[supports[:, j], heads[:, j]]
+    syn = np.repeat(row[:, None], len(tails), axis=1)
+    for j in range(tails.shape[1]):
+        syn ^= letters[supports[:, lead + j, None], tails[:, j]]
+    return syn.ravel()
+
+
+def _error_masks(
+    n: int, supports: np.ndarray, letters: np.ndarray, shared: dict[int, int]
+) -> list[tuple[int, int]]:
+    """(x, z) masks of the errors with letter index letters[i, j] on qubit
+    supports[i, j] (0, 1, 2 for X, Y, Z), each mask the object in `shared`."""
+    x = np.zeros((len(supports), n), dtype=bool)
+    z = np.zeros((len(supports), n), dtype=bool)
+    at = np.arange(len(supports))[:, None]
+    x[at, supports] = letters != 2
+    z[at, supports] = letters != 0
+    return [
+        (shared.setdefault(a, a), shared.setdefault(b, b))
+        for a, b in zip(_pack_rows(x), _pack_rows(z))
+    ]
 
 
 def sample_error(

@@ -44,6 +44,7 @@ BINARY_MATRIX = "binary_matrix"
 
 _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)\s+rows\s*=\s*(\d+)$")
 _DIRECTIVE_RE = re.compile(r"^(label|distance)\s*:\s*(.*)$")
+_DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: str.isdigit accepts "²"
 
 
 class CodeFileError(ValueError):
@@ -105,7 +106,7 @@ def read_code_file(path: str | Path) -> CodeFile:
                 if key == "label":
                     label = value or None
                 else:
-                    if not value.isdigit() or int(value) < 1:
+                    if not _DIGITS_RE.fullmatch(value) or int(value) < 1:
                         raise CodeFileError(
                             f"distance must be a positive integer, got {value!r}",
                             lineno,

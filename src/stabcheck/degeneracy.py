@@ -193,8 +193,11 @@ def classify(
 
     `with_criteria` additionally evaluates the column criteria (budgeted) and
     files their outcomes under "sufficient_columns", "necessary_columns",
-    "css_blocks" and "standard_form"; "exact" is always present.
+    "css_blocks" and "standard_form"; "exact" is always present.  A negative
+    budget is rejected before any work.
     """
+    if budget < 0:
+        raise ValueError(f"negative budget {budget}")
     n = code.n
     total = 1 << code.num_generators
     table: dict[int, tuple[int, int]] = {0: (0, 0)}

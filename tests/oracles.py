@@ -2,9 +2,11 @@
 
 Everything here works on letter strings, tuples and sets instead of packed
 integers, so a bug in the library's bit tricks cannot hide in both routes.
-Only suitable for small instances; that is the point.  The one exception is
-`simulate_failures`, which draws its errors with the library's per-trial
-reference sampler, the stream that the batched sampler must reproduce.
+Only suitable for small instances; that is the point.  The two exceptions
+are `simulate_failures`, which draws its errors with the library's per-trial
+reference sampler, the stream that the batched sampler must reproduce, and
+`table_fill`, the one-error-at-a-time decoder table fill that the chunked
+numpy fill of `build_table` must reproduce entry for entry.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from itertools import combinations, product
 
 from stabcheck import PauliOperator, pauli_to_string, syndrome_direct
 from stabcheck.channel import _trial_rng, sample_error
+from stabcheck.degeneracy import iter_weight_masks
 
 LETTERS = "XYZ"
 
@@ -186,3 +189,27 @@ def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict
         if not ok:
             failures += 1
     return failures
+
+
+def table_fill(code, max_weight: int | None = None) -> tuple[dict, int]:
+    """(table, max_weight) of `build_table`, one `syndrome_masks` call per error.
+
+    Weight levels ascend from the identity; each syndrome keeps the first
+    error that produces it, and the fill breaks off at the error that claims
+    the last free syndrome.
+    """
+    total = 1 << code.num_generators
+    table = {0: (0, 0)}
+    limit = code.n if max_weight is None else max_weight
+    reached = 0
+    for w in range(1, limit + 1):
+        if len(table) == total:
+            break
+        reached = w
+        for x, z in iter_weight_masks(code.n, w):
+            s = code.syndrome_masks(x, z)
+            if s not in table:
+                table[s] = (x, z)
+                if len(table) == total:
+                    break
+    return table, reached

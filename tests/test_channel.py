@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import draw_codes, generator_strings
+from conftest import bch_31_11, draw_codes, generator_strings
 from stabcheck import (
     PauliChannel,
+    StabilizerCode,
     build_table,
     channel,
     is_css,
@@ -50,6 +52,28 @@ class TestPauliChannel:
         assert ch.p_i == pytest.approx(0.7)
 
 
+def repetition_code(n: int):
+    """Z_i Z_{i+1} on n qubits: n - 1 syndrome bits; X on qubit n - 1 sets the top."""
+    return StabilizerCode.from_strings(
+        *("I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1))
+    )
+
+
+@pytest.fixture
+def fill_chunks(monkeypatch):
+    """(weight, errors) of each chunk `build_table` evaluates, in order."""
+    chunks = []
+    inner = channel._chunk_syndromes
+
+    def counted(letters, supports, heads, tails):
+        syn = inner(letters, supports, heads, tails)
+        chunks.append((supports.shape[1], syn.size))
+        return syn
+
+    monkeypatch.setattr(channel, "_chunk_syndromes", counted)
+    return chunks
+
+
 class TestDecoderTable:
     def test_steane_fills_at_weight_two(self, steane):
         t = build_table(steane)
@@ -79,14 +103,67 @@ class TestDecoderTable:
             build_table(steane, 8)
 
     @pytest.mark.parametrize(
-        "maker,calls,max_weight",
-        [("steane", 137, 2), ("shor", 1976, 3), ("bitflip3", 7, 1)],
+        "maker,chunks,evaluated,max_weight",
+        [("steane", 20, 138, 2), ("shor", 106, 1998, 3), ("bitflip3", 3, 9, 1)],
     )
-    def test_fill_stops_when_full(self, request, syndrome_calls, maker, calls, max_weight):
-        t = build_table(request.getfixturevalue(maker))
-        assert t.full
-        assert len(syndrome_calls) == calls
-        assert t.max_weight == max_weight
+    def test_fill_stops_in_the_chunk_that_fills(
+        self, request, fill_chunks, monkeypatch, maker, chunks, evaluated, max_weight
+    ):
+        # one support per chunk: the fill ends with the support whose error
+        # claims the last free syndrome, and no level past it is evaluated
+        monkeypatch.setattr(channel, "_FILL_CHUNK", 1)
+        code = request.getfixturevalue(maker)
+        t = build_table(code)
+        assert t.full and t.max_weight == max_weight
+        assert len(fill_chunks) == chunks
+        assert sum(size for _, size in fill_chunks) == evaluated
+        assert max(w for w, _ in fill_chunks) == max_weight
+        last_w, last_size = fill_chunks[-1]
+        _, _, filled_at = oracles.claim_syndromes(generator_strings(code), max_weight)
+        assert (last_w, last_size) == (max_weight, 3**max_weight)
+        assert evaluated - last_size < filled_at <= evaluated
+
+    def test_capped_fill_evaluates_no_further_level(self, steane, fill_chunks):
+        t = build_table(steane, 1)
+        assert fill_chunks == [(1, 21)]
+        assert t.max_weight == 1
+
+    def test_default_chunk_covers_a_small_level(self, steane, fill_chunks):
+        build_table(steane)
+        assert fill_chunks == [(1, 21), (2, 189)]
+
+    def test_oversized_table_refused_before_any_work(self, fill_chunks):
+        code = repetition_code(33)  # n - k = 32: up to 2**32 entries
+        with pytest.raises(ValueError, match="could hold 4294967296 entries"):
+            build_table(code)
+        assert fill_chunks == []
+        t = build_table(code, 1)  # 1 + 3 * 33 errors at most
+        assert (t.covered, t.max_weight) == (34, 1)
+
+    def test_syndromes_past_int64_refused(self, fill_chunks):
+        with pytest.raises(ValueError, match="63 syndrome bits"):
+            build_table(repetition_code(64), 1)
+        assert fill_chunks == []
+
+    def test_fill_arithmetic_stays_int64(self):
+        # NumPy 1.x promotes int64 mixed with uint64 to float64, which would
+        # round syndromes of more than 53 bits; 62 bits is the widest taken
+        code = repetition_code(63)
+        letters = channel._letter_syndromes(code)
+        assert letters.dtype == np.int64
+        supports = np.array([[0, 61, 62]], dtype=np.intp)
+        heads = np.array([[1]], dtype=np.intp)
+        tails = np.array([[0, 0], [2, 1]], dtype=np.intp)
+        syn = channel._chunk_syndromes(letters, supports, heads, tails)
+        assert syn.dtype == np.int64
+        # Y0 X61 X62 sets bits 0 and 60 (61 cancels); Y0 Z61 Y62 bits 0 and 61
+        assert syn.tolist() == [1 | 1 << 60, 1 | 1 << 61]
+        t = build_table(code, 1)
+        assert t.table[1 << 61] == (1 << 62, 0)  # X on the last qubit
+        assert max(t.table) == 3 << 60  # X on the one before it
+        assert t.covered == 64  # Z errors collide with the identity, Y with X
+        for s, (x, z) in t.table.items():
+            assert code.syndrome_masks(x, z) == s
 
     def test_representatives_have_minimal_weight(self, steane):
         gens = generator_strings(steane)
@@ -105,6 +182,49 @@ class TestDecoderTable:
         t = build_table(shor)
         for s, (x, z) in t.table.items():
             assert shor.syndrome_masks(x, z) == s
+
+
+class TestFillAgainstLoop:
+    """The chunked fill equals the one-error-at-a-time loop, entry order too."""
+
+    @staticmethod
+    def assert_same(code, max_weight):
+        t = build_table(code, max_weight)
+        table, reached = oracles.table_fill(code, max_weight)
+        assert list(t.table.items()) == list(table.items())
+        assert t.max_weight == reached
+        assert t.num_syndromes == 1 << code.num_generators
+
+    def test_fixtures(self, steane, shor, five_qubit, bitflip3):
+        for code in (steane, shor, five_qubit, bitflip3):
+            for max_weight in (None, 0, 1, 2):
+                self.assert_same(code, max_weight)
+
+    def test_random_codes(self):
+        for code in draw_codes(150, 8, seed=3, css_share=0.3):
+            for max_weight in (None, 1, 2):
+                if max_weight is None or max_weight <= code.n:
+                    self.assert_same(code, max_weight)
+
+    @pytest.mark.parametrize("tail,chunk", [(0, 1), (1, 1), (1, 5), (2, 7)])
+    def test_leading_letters_in_rows(self, shor, monkeypatch, tail, chunk):
+        # levels wider than _TAIL_LETTERS put their leading letters in the rows
+        monkeypatch.setattr(channel, "_TAIL_LETTERS", tail)
+        monkeypatch.setattr(channel, "_FILL_CHUNK", chunk)
+        for code in [shor, *draw_codes(20, 6, seed=9, css_share=0.3)]:
+            self.assert_same(code, None)
+
+    def test_wide_weight_one_table(self):
+        self.assert_same(random_code(70, 10, random.Random(70)), 1)
+
+    def test_full_bch_table(self):
+        # digest recorded once from the one-error-at-a-time loop
+        t = build_table(bch_31_11())
+        assert (t.covered, t.max_weight) == (1_048_576, 5)
+        text = "".join(f"{s}:{x}:{z}\n" for s, (x, z) in sorted(t.table.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "42072f7b30466ea5af48e98d447ce67c1ae7b41b6ede245d19bf2bc2bfe5d057"
+        )
 
 
 class TestSampling:

@@ -432,6 +432,27 @@ class TestInputErrors:
         rc, _, _ = run(capsys, command, "--code", STEANE, "--budget", "0")
         assert rc == 3
 
+    def test_non_ascii_distance_names_the_line(self, capsys, tmp_path):
+        p = tmp_path / "sup.stab"
+        p.write_text("XZZXI\nIXZZX\nXIXZZ\n# distance: \u00b2\nZXIXZ\n")
+        rc, out, err = run(capsys, "validate", "--code", str(p))
+        assert rc == 2
+        assert err.startswith("error: line 4:")
+        assert "distance must be a positive integer" in err
+        assert out == ""
+
+    def test_oversized_decoder_table_exits_2(self, capsys, tmp_path):
+        # 32 generators: up to 2**32 table entries, refused before the fill
+        p = tmp_path / "rep33.stab"
+        p.write_text("".join("I" * i + "ZZ" + "I" * (31 - i) + "\n" for i in range(32)))
+        rc, out, err = run(
+            capsys, "simulate", "--code", str(p), "--depolarizing", "0.01",
+            "--trials", "10", "--workers", "1",
+        )
+        assert rc == 2
+        assert err.startswith("error: decoder table could hold")
+        assert out == ""
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

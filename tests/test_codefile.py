@@ -147,7 +147,9 @@ class TestErrors:
             read_code_file(write(tmp_path, "XZ # label: sneaky\n"))
         assert exc.value.line == 1
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+    # "\u00b2" and "\u0663" pass str.isdigit; int() rejects the first and
+    # reads the second as 3
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", "\u00b2", "\u0663"])
     def test_bad_distance(self, tmp_path, value):
         with pytest.raises(CodeFileError, match="distance"):
             read_code_file(write(tmp_path, f"# distance: {value}\nXZ\n"))

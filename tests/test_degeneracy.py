@@ -168,6 +168,12 @@ class TestFullMapStop:
         assert (r.syndrome_count, r.collision_count) == (15, 105 - 15)
         assert pauli_to_string(r.witness.second) == "XXIII"
 
+    def test_negative_budget_raises_before_the_enumeration(self, syndrome_calls):
+        bch = bch_31_11()
+        with pytest.raises(ValueError, match="negative budget"):
+            classify(bch, 2, with_criteria=True, budget=-1)
+        assert syndrome_calls == []
+
     def test_random_codes_against_oracle(self):
         filled_early = 0
         kinds = set()
