@@ -108,25 +108,35 @@ def column_bounds(
     upper: int | None = None
     exact: int | None = None
     block_orders: tuple[int, int] | None = None
+    css_verdict: bool | None = None
+    blocks_exhausted = False
 
     encodes = code.k >= 1
-    nondegenerate = classify(code, t).verdict is Verdict.NONDEGENERATE
-    if encodes and nondegenerate and order <= 4 * t and not exhausted:
-        upper = 4 * t + 1
-
     split = css_split(code)
     if split is not None:
         x_order, x_exh = max_independence_order(split.x_block, budget=budget)
         z_order, z_exh = max_independence_order(split.z_block, budget=budget)
         block_orders = (x_order, z_order)
-        exhausted = exhausted or x_exh or z_exh
-        # With k >= 1 each block has fewer rows than columns, so both orders
-        # come from searches run to the end: min(x, z) >= 2t is then the CSS
-        # criterion at t, and == 2t adds a dependent (2t+1)-subset.
-        if encodes and min(x_order, z_order) == 2 * t and not (x_exh or z_exh):
-            exact = 2 * t + 1
-            lower = exact
-            upper = exact
+        blocks_exhausted = x_exh or z_exh
+        if not blocks_exhausted:
+            # the exact criterion of `css_nondegeneracy`
+            css_verdict = all(
+                o >= min(2 * t, b.cols)
+                for o, b in ((x_order, split.x_block), (z_order, split.z_block))
+            )
+            # With k >= 1 each block has fewer rows than columns, so both
+            # orders come from searches that found a dependent subset:
+            # min(x, z) >= 2t is then the CSS criterion at t, and == 2t adds
+            # a dependent (2t+1)-subset.
+            if encodes and min(x_order, z_order) == 2 * t:
+                exact = 2 * t + 1
+
+    if exact is not None:
+        lower = upper = exact
+    elif encodes and order <= 4 * t and not exhausted and _nondegenerate(
+        code, t, order, css_verdict
+    ):
+        upper = 4 * t + 1
 
     return ColumnBounds(
         t=t,
@@ -135,8 +145,27 @@ def column_bounds(
         upper=upper,
         exact=exact,
         block_orders=block_orders,
-        budget_exhausted=exhausted,
+        budget_exhausted=exhausted or blocks_exhausted,
     )
+
+
+def _nondegenerate(
+    code: StabilizerCode, t: int, order: int, css_verdict: bool | None
+) -> bool:
+    """Nondegeneracy at t, from the independence orders where they settle it.
+
+    `order` must come from a full-matrix search run to the end, and
+    `css_verdict` is the CSS block criterion (None when it does not apply).
+    Every 4t columns independent proves nondegeneracy; a dependent set of at
+    most 2t columns proves degeneracy.  Anything else takes `classify`.
+    """
+    if css_verdict is not None:
+        return css_verdict
+    if order >= 4 * t:
+        return True
+    if order < 2 * t:
+        return False
+    return classify(code, t).verdict is Verdict.NONDEGENERATE
 
 
 def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:

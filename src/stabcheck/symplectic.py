@@ -422,11 +422,12 @@ class SubsetSearch:
 
     `dependent` is None unless outcome == "dependent_found"; when set it is a
     minimal dependent subset (every proper subset is independent), sorted
-    ascending.  `visited` counts column insertions performed, the quantity
-    capped by the budget.  `verified` is the largest size whose subsets were
-    all found independent: max_size when all_independent, one less than the
-    witness size when dependent_found, and the last size searched to the end
-    when the budget ran out.
+    ascending.  `visited` counts column insertions, the quantity capped by
+    the budget; a last DFS level answered by lookup counts the insertions
+    its loop would have made.  `verified` is the largest size whose subsets
+    were all found independent: max_size when all_independent, one less than
+    the witness size when dependent_found, and the last size searched to the
+    end when the budget ran out.
     """
 
     outcome: str
@@ -447,6 +448,13 @@ def smallest_dependent_subset(
     of a verdict once `visited` would pass the budget, so `visited` never
     exceeds it.  A negative budget is rejected; a zero budget stops before
     the first visit.
+
+    The last DFS level asks for the first column below a bound that lies in
+    the span of the chosen ones.  While that span has no more vectors than
+    the matrix has columns, it is carried down the DFS and the last level
+    goes by looking it up in a map from column value to first index.
+    `visited` still counts the column insertions that the level's loop would
+    make, and a budget stop falls where the loop's would.
     """
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
@@ -456,7 +464,40 @@ def smallest_dependent_subset(
         raise ValueError(f"subset size {max_size} exceeds {m.cols} columns")
     cols = m.columns()
     ncols = m.cols
+    first: dict[int, int] = {}
+    for j, col in enumerate(cols):
+        first.setdefault(col, j)
     visited = 0
+
+    def by_lookup(
+        bound: int, depth: int, chosen: list[int], span: list[int]
+    ) -> tuple[int, ...] | None:
+        # The DFS of `extend` below, with the span of `chosen` in place of
+        # the basis.  Under column c at depth 2 the last level's loop would
+        # stop at its first zero residue: the first column j < c in the span
+        # of chosen + [c].  A column in the span of `chosen` alone would
+        # close a smaller circuit, so only the coset of cols[c] can hold j,
+        # and it holds cols[c] itself (so j <= c).
+        nonlocal visited
+        for c in range(depth - 1, bound):
+            if visited >= budget:
+                raise _BudgetExhausted
+            visited += 1
+            col = cols[c]
+            coset = [u ^ col for u in span]
+            if depth > 2:
+                hit = by_lookup(c, depth - 1, chosen + [c], span + coset)
+            else:
+                j = min(map(first.__getitem__, first.keys() & coset))
+                steps = j + 1 if j < c else c
+                if visited + steps > budget:
+                    visited = budget
+                    raise _BudgetExhausted
+                visited += steps
+                hit = tuple(sorted(chosen + [c, j])) if j < c else None
+            if hit is not None:
+                return hit
+        return None
 
     def search_level(size: int) -> tuple[int, ...] | None:
         # Colex DFS: choose the largest element first and iterate it
@@ -485,6 +526,11 @@ def smallest_dependent_subset(
                         return hit
             return None
 
+        # The lookup costs about one step per span vector (2^(size - 1) at the
+        # last level), the loop one reduce per column below the bound; past
+        # a span of about one vector per column the loop is faster.
+        if size > 1 and 1 << (size - 1) <= ncols:
+            return by_lookup(ncols, size, [], [0])
         return extend(ncols, size, [])
 
     verified = 0

@@ -4,18 +4,38 @@ Everything here works on letter strings, tuples and sets instead of packed
 integers, so a bug in the library's bit tricks cannot hide in both routes.
 Only suitable for small instances; that is the point.  The two exceptions
 are `simulate_failures`, which draws its errors with the library's per-trial
-reference sampler, the stream that the batched sampler must reproduce, and
+reference sampler, the stream that the batched sampler must reproduce;
 `table_fill`, the one-error-at-a-time decoder table fill that the chunked
-numpy fill of `build_table` must reproduce entry for entry.
+numpy fill of `build_table` must reproduce entry for entry;
+`subset_search_dfs`, the column-by-column subset search whose every field
+`smallest_dependent_subset` must reproduce; and `column_bounds_by_classify`,
+the `column_bounds` that asks `classify` for nondegeneracy every time.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from stabcheck import PauliOperator, pauli_to_string, syndrome_direct
+from stabcheck import (
+    ColumnBounds,
+    PauliOperator,
+    Verdict,
+    classify,
+    css_split,
+    max_independence_order,
+    pauli_to_string,
+    syndrome_direct,
+)
 from stabcheck.channel import _trial_rng, sample_error
 from stabcheck.degeneracy import iter_weight_masks
+from stabcheck.symplectic import (
+    ALL_INDEPENDENT,
+    BUDGET_EXHAUSTED,
+    DEPENDENT_FOUND,
+    Gf2Matrix,
+    RowBasis,
+    SubsetSearch,
+)
 
 LETTERS = "XYZ"
 
@@ -213,3 +233,65 @@ def table_fill(code, max_weight: int | None = None) -> tuple[dict, int]:
                 if len(table) == total:
                     break
     return table, reached
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def subset_search_dfs(m: Gf2Matrix, max_size: int, budget: int) -> SubsetSearch:
+    """`smallest_dependent_subset` by the colex DFS with a reduce at every level.
+
+    Each size runs a largest-element-first DFS; every column insertion is
+    one visit, checked against the budget before it happens, and the first
+    zero residue is the colex-least circuit of that size.
+    """
+    cols = m.columns()
+    visited = 0
+
+    def extend(basis: RowBasis, bound: int, depth: int, chosen: list[int]):
+        nonlocal visited
+        for c in range(depth - 1, bound):
+            if visited >= budget:
+                raise _OutOfBudget
+            visited += 1
+            res = basis.reduce(cols[c])
+            if res == 0:
+                return tuple(sorted(chosen + [c]))
+            if depth > 1:
+                wider = chosen + [c]
+                hit = extend(RowBasis(m.nrows, [cols[j] for j in wider]), c, depth - 1, wider)
+                if hit is not None:
+                    return hit
+        return None
+
+    verified = 0
+    try:
+        for size in range(1, max_size + 1):
+            hit = extend(RowBasis(m.nrows), m.cols, size, [])
+            if hit is not None:
+                return SubsetSearch(DEPENDENT_FOUND, hit, visited, verified)
+            verified = size
+    except _OutOfBudget:
+        return SubsetSearch(BUDGET_EXHAUSTED, None, visited, verified)
+    return SubsetSearch(ALL_INDEPENDENT, None, visited, verified)
+
+
+def column_bounds_by_classify(code, t: int, budget: int) -> ColumnBounds:
+    """`column_bounds` with nondegeneracy always taken from `classify`."""
+    order, exhausted = max_independence_order(code.h.h, budget=budget)
+    lower = 2 * (order // 4) + 1
+    upper = exact = block_orders = None
+    encodes = code.k >= 1
+    nondegenerate = classify(code, t).verdict is Verdict.NONDEGENERATE
+    if encodes and nondegenerate and order <= 4 * t and not exhausted:
+        upper = 4 * t + 1
+    split = css_split(code)
+    if split is not None:
+        x_order, x_exh = max_independence_order(split.x_block, budget=budget)
+        z_order, z_exh = max_independence_order(split.z_block, budget=budget)
+        block_orders = (x_order, z_order)
+        exhausted = exhausted or x_exh or z_exh
+        if encodes and min(x_order, z_order) == 2 * t and not (x_exh or z_exh):
+            exact = lower = upper = 2 * t + 1
+    return ColumnBounds(t, order, lower, upper, exact, block_orders, exhausted)

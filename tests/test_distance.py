@@ -1,23 +1,39 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import oracles
 from conftest import bch_31_11, css_state_6_0, draw_codes, generator_strings
 from stabcheck import (
     CriterionOutcome,
+    PauliOperator,
     StabilizerCode,
     classify,
     column_bounds,
+    css_split,
     degeneracy,
     distance,
+    five_qubit,
     is_css,
     max_independence_order,
     min_distance,
     pauli_to_string,
+    random_code,
+    random_css_code,
+    shor,
+    steane,
     syndrome_direct,
+    three_qubit_bit_flip,
+    validate,
 )
-from stabcheck.symplectic import ALL_INDEPENDENT, Gf2Matrix, smallest_dependent_subset
+from stabcheck.symplectic import (
+    ALL_INDEPENDENT,
+    DEFAULT_BUDGET,
+    Gf2Matrix,
+    smallest_dependent_subset,
+)
 
 
 def rerun_verified_order(m, budget: int) -> int:
@@ -165,6 +181,37 @@ class TestColumnBounds:
         assert report.criteria["css_blocks"] is CriterionOutcome.NONDEGENERATE
         assert bounds.exact == 5
 
+    @pytest.mark.parametrize("budget", [0, 3, 20, 200, DEFAULT_BUDGET])
+    def test_matches_classify_route(self, budget, monkeypatch):
+        # Nondegeneracy read off the orders must agree with `classify`
+        # wherever the bounds use it; the case set reaches every route.
+        classify_calls = []
+        inner = distance.classify
+
+        def counted(*args, **kwargs):
+            classify_calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(distance, "classify", counted)
+        uppers = 0
+        for code, t in _bounds_cases():
+            got = column_bounds(code, t, budget=budget)
+            assert got == oracles.column_bounds_by_classify(code, t, budget), (
+                generator_strings(code),
+                t,
+            )
+            uppers += got.upper is not None
+        if budget == DEFAULT_BUDGET:
+            assert classify_calls
+            assert uppers > 10
+
+    def test_bch_bounds_skip_the_error_scan(self, syndrome_calls):
+        code = bch_31_11()
+        syndrome_calls.clear()
+        b = column_bounds(code, 2)
+        assert (b.lower, b.upper, b.exact) == (5, 5, 5)
+        assert syndrome_calls == []
+
     def test_bch_distance_is_five(self):
         code = bch_31_11()
         # lower half: exhaustive search below 5 finds nothing
@@ -278,3 +325,42 @@ class TestRandomConsistency:
                 assert res.d <= res.upper
             if res.witness is not None:
                 assert_valid_logical(code, res.witness)
+
+
+def _bounds_cases():
+    """(code, t) pairs: random codes, half with one or two logical qubits, and
+    the fixtures at t <= 3, plus three codes at t = 1: BCH, BCH twisted by S
+    gates out of CSS form with its full independence order still 4, and a
+    degenerate [[9,1]] code of full order 3."""
+    codes = list(draw_codes(150, 9, seed=11, css_share=0.4))
+    rng = random.Random(77)
+    while len(codes) < 300:
+        n = rng.randint(5, 10)
+        if rng.random() < 0.4:
+            code = random_css_code(n, (n - 1) // 2, n - 1 - (n - 1) // 2, rng)
+        else:
+            code = random_code(n, n - rng.randint(1, 2), rng)
+        if code is not None:
+            codes.append(code)
+    codes += [steane(), shor(), five_qubit(), three_qubit_bit_flip(), css_state_6_0()]
+    for code in codes:
+        for t in range(1, min(code.n, 3) + 1):
+            yield code, t
+    bch = bch_31_11()
+    twist = 0b1011  # S on qubits 0, 1 and 3 maps X to Y there
+    twisted = StabilizerCode(
+        validate(
+            [
+                PauliOperator.from_masks(bch.n, g.x.bits, g.z.bits ^ (g.x.bits & twist))
+                for g in bch.h.generators
+            ]
+        )
+    )
+    assert css_split(twisted) is None
+    yield bch, 1
+    yield twisted, 1
+    # every 3 columns independent, yet two weight-1 errors collide
+    yield StabilizerCode.from_strings(
+        "YZIXYZZXI", "ZIYZZZIYY", "IYYXIZYIZ", "ZIZYXZYIZ",
+        "IYZIZYYII", "IYZYIZXYY", "IIXYYXXYI", "ZXIIYYIZZ",
+    ), 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import bch_31_11, draw_codes
+from stabcheck import css_split
 from stabcheck.symplectic import (
     ALL_INDEPENDENT,
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET,
     DEPENDENT_FOUND,
     BitVector,
     Gf2Matrix,
@@ -254,7 +258,7 @@ class TestSmallestDependentSubset:
         m = Gf2Matrix.identity(20)
         s = smallest_dependent_subset(m, 20, budget=10)
         assert s.outcome == BUDGET_EXHAUSTED
-        assert s.visited >= 10
+        assert s.visited == 10
 
     def test_negative_budget_rejected(self):
         m = Gf2Matrix.identity(3)
@@ -278,6 +282,24 @@ class TestSmallestDependentSubset:
             assert s.dependent == expected
             assert s.verified == len(expected) - 1
 
+    def test_matches_dfs_oracle(self):
+        # Every field, budget stops included, against the column-by-column
+        # DFS.  Budgets equal to the unbudgeted visit count and one less put
+        # a stop on either side of the last visit; identity(14) at size 14
+        # runs levels too wide for the span lookup.
+        cases = 0
+        for m, sizes in _search_cases():
+            for max_size in sizes:
+                full = oracles.subset_search_dfs(m, max_size, DEFAULT_BUDGET)
+                budgets = {0, 1, 3, 10, 50, 400, DEFAULT_BUDGET}
+                budgets |= {full.visited, max(full.visited - 1, 0)}
+                for budget in sorted(budgets):
+                    expected = oracles.subset_search_dfs(m, max_size, budget)
+                    got = smallest_dependent_subset(m, max_size, budget=budget)
+                    assert got == expected, (m, max_size, budget)
+                    cases += 1
+        assert cases > 20_000
+
     def test_minimality_of_witness(self):
         m = Gf2Matrix.from01(["1110", "0111"])
         s = smallest_dependent_subset(m, 4)
@@ -293,3 +315,25 @@ class TestSmallestDependentSubset:
                 for c in sub:
                     acc ^= c
                 assert acc != 0
+
+
+def _search_cases():
+    """(matrix, max sizes) pairs for the subset-search oracle test."""
+    matrices = []
+    for code in draw_codes(300, 9, seed=5, css_share=0.3):
+        matrices.append(code.h.h)
+        split = css_split(code)
+        if split is not None:
+            matrices += [split.x_block, split.z_block]
+    rng = random.Random(8)
+    for _ in range(200):
+        rows, ncols = rng.randint(1, 8), rng.randint(1, 14)
+        cols = [0 if rng.random() < 0.15 else rng.getrandbits(rows) for _ in range(ncols)]
+        for j in range(ncols):
+            if rng.random() < 0.15:
+                cols[j] = cols[rng.randrange(ncols)]  # a repeated column
+        matrices.append(Gf2Matrix(rows, tuple(cols)).transpose())
+    for m in matrices:
+        yield m, sorted({min(size, m.cols) for size in (1, 2, 3, 5, 8, m.cols)})
+    yield bch_31_11().h.h, [5]
+    yield Gf2Matrix.identity(14), [14]
