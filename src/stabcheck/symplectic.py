@@ -415,6 +415,9 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 
 DEFAULT_BUDGET = 10**7
 
+# most pairs the last-two-levels map of `smallest_dependent_subset` holds
+_PAIR_CAP = 1 << 18
+
 
 @dataclass(frozen=True)
 class SubsetSearch:
@@ -423,11 +426,11 @@ class SubsetSearch:
     `dependent` is None unless outcome == "dependent_found"; when set it is a
     minimal dependent subset (every proper subset is independent), sorted
     ascending.  `visited` counts column insertions, the quantity capped by
-    the budget; a last DFS level answered by lookup counts the insertions
-    its loop would have made.  `verified` is the largest size whose subsets
-    were all found independent: max_size when all_independent, one less than
-    the witness size when dependent_found, and the last size searched to the
-    end when the budget ran out.
+    the budget; the last two DFS levels, answered by lookup, count the
+    insertions their loops would have made.  `verified` is the largest size
+    whose subsets were all found independent: max_size when all_independent,
+    one less than the witness size when dependent_found, and the last size
+    searched to the end when the budget ran out.
     """
 
     outcome: str
@@ -449,12 +452,19 @@ def smallest_dependent_subset(
     exceeds it.  A negative budget is rejected; a zero budget stops before
     the first visit.
 
-    The last DFS level asks for the first column below a bound that lies in
-    the span of the chosen ones.  While that span has no more vectors than
-    the matrix has columns, it is carried down the DFS and the last level
-    goes by looking it up in a map from column value to first index.
-    `visited` still counts the column insertions that the level's loop would
-    make, and a budget stop falls where the loop's would.
+    The last two DFS levels go by lookup.  With every smaller size free of
+    circuits, they stop at the colex-first pair (c, j), j < c, below their
+    bound whose XOR cols[c] ^ cols[j] lies in the span of the columns chosen
+    above them.  A map from that XOR to the colex-first pair answers this
+    with one lookup per span vector.  All sizes share the map; it grows
+    column by column, never past the column at which the budget runs out,
+    and holds at most `_PAIR_CAP` pairs.  Columns it does not cover, and
+    size 2 (whose span is {0}), are looked up one coset at a time in a map
+    from column value to first index.  The span is carried down the DFS
+    while it has no more vectors than the matrix has columns; wider levels,
+    and size 1, keep a `reduce` per column.  `visited` still counts the
+    column insertions that the two levels' loops would make, and a budget
+    stop falls where theirs would.
     """
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
@@ -464,37 +474,76 @@ def smallest_dependent_subset(
         raise ValueError(f"subset size {max_size} exceeds {m.cols} columns")
     cols = m.columns()
     ncols = m.cols
+    # cols[c] ^ cols[j] -> c * ncols + j for the colex-first pair j < c with
+    # that XOR, over the columns c < mapped; integer order is colex order
+    pairs: dict[int, int] = {}
+    mapped = 0
     first: dict[int, int] = {}
     for j, col in enumerate(cols):
         first.setdefault(col, j)
     visited = 0
 
+    def last_two(
+        bound: int, span: list[int], chosen: list[int]
+    ) -> tuple[int, ...] | None:
+        # Under column c (c < bound) the last level's loop would stop at the
+        # first j < c in the span of chosen + [c].  The span of `chosen` alone
+        # cannot hold one (that would close a smaller circuit), so the hit is
+        # the colex-first pair (c, j) with cols[c] ^ cols[j] in the span.
+        # Finishing column c costs 1 + c visits, a hit at (c, j) j + 2.
+        nonlocal visited, mapped
+        left = budget - visited
+        # a span of {0} alone (size 2) costs one coset lookup per column, less
+        # than mapping the column's pairs, and comes only once
+        while (
+            len(span) > 1
+            and mapped < bound
+            and _steps(mapped) + 2 <= left
+            and len(pairs) + mapped <= _PAIR_CAP
+        ):
+            col, base = cols[mapped], mapped * ncols
+            for j in range(mapped):
+                pairs.setdefault(col ^ cols[j], base + j)
+            mapped += 1
+        end = bound * ncols
+        hit = min(map(pairs.__getitem__, pairs.keys() & span), default=end)
+        if hit >= end:
+            for c in range(mapped, bound):
+                if _steps(c) + 2 > left:
+                    break
+                # past the map: the least index in the coset of cols[c]
+                col = cols[c]
+                j = min(map(first.__getitem__, first.keys() & [u ^ col for u in span]))
+                if j < c:
+                    hit = c * ncols + j
+                    break
+        if hit < end:
+            c, j = divmod(hit, ncols)
+            steps, found = _steps(c) + j + 2, tuple(sorted(chosen + [c, j]))
+        else:
+            steps, found = _steps(bound), None
+        if steps > left:
+            visited = budget
+            raise _BudgetExhausted
+        visited += steps
+        return found
+
     def by_lookup(
         bound: int, depth: int, chosen: list[int], span: list[int]
     ) -> tuple[int, ...] | None:
         # The DFS of `extend` below, with the span of `chosen` in place of
-        # the basis.  Under column c at depth 2 the last level's loop would
-        # stop at its first zero residue: the first column j < c in the span
-        # of chosen + [c].  A column in the span of `chosen` alone would
-        # close a smaller circuit, so only the coset of cols[c] can hold j,
-        # and it holds cols[c] itself (so j <= c).
+        # the basis, down to the last two levels.
         nonlocal visited
         for c in range(depth - 1, bound):
             if visited >= budget:
                 raise _BudgetExhausted
             visited += 1
             col = cols[c]
-            coset = [u ^ col for u in span]
-            if depth > 2:
-                hit = by_lookup(c, depth - 1, chosen + [c], span + coset)
+            wider = span + [u ^ col for u in span]
+            if depth > 3:
+                hit = by_lookup(c, depth - 1, chosen + [c], wider)
             else:
-                j = min(map(first.__getitem__, first.keys() & coset))
-                steps = j + 1 if j < c else c
-                if visited + steps > budget:
-                    visited = budget
-                    raise _BudgetExhausted
-                visited += steps
-                hit = tuple(sorted(chosen + [c, j])) if j < c else None
+                hit = last_two(c, wider, chosen + [c])
             if hit is not None:
                 return hit
         return None
@@ -526,10 +575,12 @@ def smallest_dependent_subset(
                         return hit
             return None
 
-        # The lookup costs about one step per span vector (2^(size - 1) at the
-        # last level), the loop one reduce per column below the bound; past
-        # a span of about one vector per column the loop is faster.
-        if size > 1 and 1 << (size - 1) <= ncols:
+        # A depth-2 call costs one lookup per span vector (2^(size - 2)), the
+        # loop one reduce per visit; past a span of about one vector per
+        # column the loop is as fast on narrow matrices.
+        if size == 2:
+            return last_two(ncols, [0], [])
+        if size > 2 and 1 << (size - 2) <= ncols:
             return by_lookup(ncols, size, [], [0])
         return extend(ncols, size, [])
 
@@ -543,6 +594,11 @@ def smallest_dependent_subset(
     except _BudgetExhausted:
         return SubsetSearch(BUDGET_EXHAUSTED, None, visited, verified)
     return SubsetSearch(ALL_INDEPENDENT, None, visited, verified)
+
+
+def _steps(c: int) -> int:
+    """Visits of the last two DFS levels over columns 1..c-1 with no hit."""
+    return (c - 1) * (c + 2) // 2
 
 
 class _BudgetExhausted(Exception):

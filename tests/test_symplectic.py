@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bch_31_11, draw_codes
-from stabcheck import css_split
+from stabcheck import css_split, symplectic
 from stabcheck.symplectic import (
     ALL_INDEPENDENT,
     BUDGET_EXHAUSTED,
@@ -299,6 +301,79 @@ class TestSmallestDependentSubset:
                     assert got == expected, (m, max_size, budget)
                     cases += 1
         assert cases > 20_000
+
+    def test_every_budget_matches_dfs_oracle(self):
+        # Every budget from 0 to the unbudgeted visit count, so a stop falls
+        # on each visit of the last two levels, hits and misses alike.
+        rng = random.Random(12)
+        deep = 0
+        for i in range(50):
+            rows, ncols = rng.randint(4, 9), rng.randint(4, 12)
+            cols = [rng.randrange(1, 1 << rows) for _ in range(ncols)]
+            if i % 5 == 1:
+                cols[rng.randrange(ncols)] = 0
+            if i % 5 == 2:
+                cols[rng.randrange(1, ncols)] = cols[rng.randrange(ncols)]
+            m = Gf2Matrix(rows, tuple(cols)).transpose()
+            full = oracles.subset_search_dfs(m, ncols, DEFAULT_BUDGET)
+            deep += full.verified >= 3  # a depth-2 call under a chosen column
+            for budget in range(full.visited + 1):
+                expected = oracles.subset_search_dfs(m, ncols, budget)
+                got = smallest_dependent_subset(m, ncols, budget=budget)
+                assert got == expected, (m, budget)
+        assert deep >= 10
+
+    def test_pair_cap_is_invisible(self, monkeypatch):
+        # Below the cap the last two levels go by the pair map, past it by
+        # one coset lookup per column (cap 0: coset lookups only).
+        code = bch_31_11()
+        for m, max_size in ((code.h.h, 5), (css_split(code).x_block, 11)):
+            full = oracles.subset_search_dfs(m, max_size, DEFAULT_BUDGET)
+            budgets = {0, 1, 10, 400, 10**4, full.visited // 3, full.visited - 1}
+            for budget in sorted(budgets | {full.visited}):
+                expected = oracles.subset_search_dfs(m, max_size, budget)
+                for cap in (0, 100, 600):
+                    monkeypatch.setattr(symplectic, "_PAIR_CAP", cap)
+                    got = smallest_dependent_subset(m, max_size, budget=budget)
+                    assert got == expected, (m.cols, cap, budget)
+
+    def test_pair_map_stays_under_its_cap(self, monkeypatch):
+        # Size 3 of 200 columns, searched to the end, reaches all 19,900
+        # pairs; with the cap at 2^10 the map holds about 1,000 of them.
+        rng = random.Random(41)
+        m = Gf2Matrix(200, tuple(rng.getrandbits(200) for _ in range(40)))
+        monkeypatch.setattr(symplectic, "_PAIR_CAP", 1 << 10)
+        tracemalloc.start()
+        try:
+            s = smallest_dependent_subset(m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s.outcome, s.verified) == (ALL_INDEPENDENT, 3)
+        # sizes 1, 2 and 3 each visited to the end
+        assert s.visited == 200 + sum(1 + c for c in range(1, 200)) + sum(
+            1 + sum(1 + b for b in range(1, c)) for c in range(2, 200)
+        )
+        assert peak < 2**19
+
+    def test_wide_matrix_pays_only_its_budget(self):
+        # Size 2 of 3000 columns would visit about 4.5 million pairs.  The
+        # search must stop at the budget without mapping the pairs past it.
+        rng = random.Random(40)
+        m = Gf2Matrix(3000, tuple(rng.getrandbits(3000) for _ in range(40)))
+        start = time.perf_counter()
+        s = smallest_dependent_subset(m, 3, budget=10**4)
+        assert time.perf_counter() - start < 0.5
+        assert (s.outcome, s.visited, s.verified) == (BUDGET_EXHAUSTED, 10**4, 1)
+        # a stop early in size 3, after size 2 ran to the end
+        tracemalloc.start()
+        try:
+            s = smallest_dependent_subset(m, 3, budget=5 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s.outcome, s.visited, s.verified) == (BUDGET_EXHAUSTED, 5 * 10**6, 2)
+        assert peak < 16 * 2**20
 
     def test_minimality_of_witness(self):
         m = Gf2Matrix.from01(["1110", "0111"])
