@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import stabcheck as sc
+from stabcheck import degeneracy
 from stabcheck.symplectic import Gf2Matrix, kernel_basis
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -43,6 +44,28 @@ def syndrome_calls(monkeypatch):
 
     monkeypatch.setattr(sc.StabilizerCode, "syndrome_masks", counted)
     return calls
+
+
+@pytest.fixture
+def fill_chunks(monkeypatch):
+    """(weight, errors) of each chunk the syndrome fill evaluates, in order."""
+    chunks = []
+    inner = degeneracy._chunk_syndromes
+
+    def counted(letters, chunk):
+        syn = inner(letters, chunk)
+        chunks.append((chunk[0].shape[1], syn.size))
+        return syn
+
+    monkeypatch.setattr(degeneracy, "_chunk_syndromes", counted)
+    return chunks
+
+
+def repetition_code(n: int) -> sc.StabilizerCode:
+    """Z_i Z_{i+1} on n qubits: n - 1 syndrome bits; X on qubit n - 1 sets the top."""
+    return sc.StabilizerCode.from_strings(
+        *("I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1))
+    )
 
 
 def draw_code(rng: random.Random, max_n: int, css_share: float = 0.0) -> sc.StabilizerCode:

@@ -27,7 +27,6 @@ from stabcheck import (
     syndrome_direct,
 )
 from stabcheck.channel import _trial_rng, sample_error
-from stabcheck.degeneracy import iter_weight_masks
 from stabcheck.symplectic import (
     ALL_INDEPENDENT,
     BUDGET_EXHAUSTED,
@@ -65,7 +64,13 @@ def multiply(a: str, b: str) -> str:
 
 
 def syndrome_string(generators: list[str], error: str) -> str:
-    return "".join("1" if anticommutes(g, error) else "0" for g in generators)
+    """Bit i: does generator i anticommute with the error?  Only the error's
+    support is looked at, so light errors on wide codes stay cheap."""
+    support = [(i, c) for i, c in enumerate(error) if c != "I"]
+    return "".join(
+        "1" if sum(g[i] != "I" and g[i] != c for i, c in support) % 2 else "0"
+        for g in generators
+    )
 
 
 def span(generators: list[str]) -> frozenset[str]:
@@ -145,22 +150,26 @@ def claim_syndromes(generators: list[str], t: int):
 
     Returns (distinct non-zero syndromes, first collision as (claimant,
     error) or None, 1-based index of the error that claimed the last free
-    syndrome or None when the map never fills).
+    syndrome or None when the map never fills, non-zero syndromes claimed
+    before the first collision or None when nothing collides).  Every error
+    before the first collision claims, so it is the collision's index - 1.
     """
     n = len(generators[0])
     claims = {syndrome_string(generators, "I" * n): "I" * n}
     collision = None
     filled_at = None
+    claimed_before = None
     for i, e in enumerate(errors_up_to(n, t), start=1):
         s = syndrome_string(generators, e)
         if s in claims:
             if collision is None:
                 collision = (claims[s], e)
+                claimed_before = len(claims) - 1
             continue
         claims[s] = e
         if len(claims) == 2 ** len(generators):
             filled_at = i
-    return len(claims) - 1, collision, filled_at
+    return len(claims) - 1, collision, filled_at, claimed_before
 
 
 def smallest_dependent_columns(columns: list[int], max_size: int) -> tuple[int, ...] | None:
@@ -214,6 +223,8 @@ def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict
 def table_fill(code, max_weight: int | None = None) -> tuple[dict, int]:
     """(table, max_weight) of `build_table`, one `syndrome_masks` call per error.
 
+    The errors come from the letter strings of `weight_level`.
+
     Weight levels ascend from the identity; each syndrome keeps the first
     error that produces it, and the fill breaks off at the error that claims
     the last free syndrome.
@@ -226,7 +237,9 @@ def table_fill(code, max_weight: int | None = None) -> tuple[dict, int]:
         if len(table) == total:
             break
         reached = w
-        for x, z in iter_weight_masks(code.n, w):
+        for e in weight_level(code.n, w):
+            x = sum(1 << i for i, c in enumerate(e) if c in "XY")
+            z = sum(1 << i for i, c in enumerate(e) if c in "YZ")
             s = code.syndrome_masks(x, z)
             if s not in table:
                 table[s] = (x, z)

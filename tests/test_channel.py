@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import bch_31_11, draw_codes, generator_strings
+from conftest import bch_31_11, draw_codes, generator_strings, repetition_code
 from stabcheck import (
     PauliChannel,
     StabilizerCode,
     build_table,
     channel,
+    degeneracy,
     is_css,
     pauli_to_string,
     random_code,
@@ -52,28 +53,6 @@ class TestPauliChannel:
         assert ch.p_i == pytest.approx(0.7)
 
 
-def repetition_code(n: int):
-    """Z_i Z_{i+1} on n qubits: n - 1 syndrome bits; X on qubit n - 1 sets the top."""
-    return StabilizerCode.from_strings(
-        *("I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1))
-    )
-
-
-@pytest.fixture
-def fill_chunks(monkeypatch):
-    """(weight, errors) of each chunk `build_table` evaluates, in order."""
-    chunks = []
-    inner = channel._chunk_syndromes
-
-    def counted(letters, supports, heads, tails):
-        syn = inner(letters, supports, heads, tails)
-        chunks.append((supports.shape[1], syn.size))
-        return syn
-
-    monkeypatch.setattr(channel, "_chunk_syndromes", counted)
-    return chunks
-
-
 class TestDecoderTable:
     def test_steane_fills_at_weight_two(self, steane):
         t = build_table(steane)
@@ -111,7 +90,7 @@ class TestDecoderTable:
     ):
         # one support per chunk: the fill ends with the support whose error
         # claims the last free syndrome, and no level past it is evaluated
-        monkeypatch.setattr(channel, "_FILL_CHUNK", 1)
+        monkeypatch.setattr(degeneracy, "_FILL_CHUNK", 1)
         code = request.getfixturevalue(maker)
         t = build_table(code)
         assert t.full and t.max_weight == max_weight
@@ -119,7 +98,7 @@ class TestDecoderTable:
         assert sum(size for _, size in fill_chunks) == evaluated
         assert max(w for w, _ in fill_chunks) == max_weight
         last_w, last_size = fill_chunks[-1]
-        _, _, filled_at = oracles.claim_syndromes(generator_strings(code), max_weight)
+        _, _, filled_at, _ = oracles.claim_syndromes(generator_strings(code), max_weight)
         assert (last_w, last_size) == (max_weight, 3**max_weight)
         assert evaluated - last_size < filled_at <= evaluated
 
@@ -140,21 +119,17 @@ class TestDecoderTable:
         t = build_table(code, 1)  # 1 + 3 * 33 errors at most
         assert (t.covered, t.max_weight) == (34, 1)
 
-    def test_syndromes_past_int64_refused(self, fill_chunks):
-        with pytest.raises(ValueError, match="63 syndrome bits"):
-            build_table(repetition_code(64), 1)
-        assert fill_chunks == []
-
     def test_fill_arithmetic_stays_int64(self):
         # NumPy 1.x promotes int64 mixed with uint64 to float64, which would
-        # round syndromes of more than 53 bits; 62 bits is the widest taken
+        # round syndromes of more than 53 bits; 62 bits is the widest held in
+        # int64
         code = repetition_code(63)
-        letters = channel._letter_syndromes(code)
+        letters = degeneracy._letter_syndromes(code)
         assert letters.dtype == np.int64
         supports = np.array([[0, 61, 62]], dtype=np.intp)
         heads = np.array([[1]], dtype=np.intp)
         tails = np.array([[0, 0], [2, 1]], dtype=np.intp)
-        syn = channel._chunk_syndromes(letters, supports, heads, tails)
+        syn = degeneracy._chunk_syndromes(letters, (supports, heads, tails))
         assert syn.dtype == np.int64
         # Y0 X61 X62 sets bits 0 and 60 (61 cancels); Y0 Z61 Y62 bits 0 and 61
         assert syn.tolist() == [1 | 1 << 60, 1 | 1 << 61]
@@ -209,13 +184,22 @@ class TestFillAgainstLoop:
     @pytest.mark.parametrize("tail,chunk", [(0, 1), (1, 1), (1, 5), (2, 7)])
     def test_leading_letters_in_rows(self, shor, monkeypatch, tail, chunk):
         # levels wider than _TAIL_LETTERS put their leading letters in the rows
-        monkeypatch.setattr(channel, "_TAIL_LETTERS", tail)
-        monkeypatch.setattr(channel, "_FILL_CHUNK", chunk)
+        monkeypatch.setattr(degeneracy, "_TAIL_LETTERS", tail)
+        monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
         for code in [shor, *draw_codes(20, 6, seed=9, css_share=0.3)]:
             self.assert_same(code, None)
 
     def test_wide_weight_one_table(self):
         self.assert_same(random_code(70, 10, random.Random(70)), 1)
+
+    def test_syndromes_past_int64(self):
+        # 63 syndrome bits: the fill holds them as Python ints in object arrays
+        code = repetition_code(64)
+        assert degeneracy._letter_syndromes(code).dtype == object
+        self.assert_same(code, 1)
+        t = build_table(code, 1)
+        assert t.table[1 << 62] == (1 << 63, 0)  # X on the last qubit
+        assert (t.covered, t.num_syndromes) == (65, 1 << 63)
 
     def test_full_bch_table(self):
         # digest recorded once from the one-error-at-a-time loop

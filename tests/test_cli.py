@@ -175,6 +175,13 @@ class TestClassify:
         assert rc == 2
         assert "--t is required" in err
 
+    @pytest.mark.parametrize("t", ["0", "99"])
+    def test_t_outside_range_exits_2(self, capsys, t):
+        rc, out, err = run(capsys, "classify", "--code", STEANE, "--t", t, "--json")
+        assert rc == 2
+        assert out == ""
+        assert f"t={t} outside 1..7" in err
+
     def test_budget_exhaustion_exits_3(self, capsys):
         rc, out, _ = run(capsys, "classify", "--code", SHOR, "--budget", "3", "--json")
         assert rc == 3

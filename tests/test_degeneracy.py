@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
 
 import oracles
-from conftest import bch_31_11, draw_codes, generator_strings
+from conftest import bch_31_11, draw_codes, generator_strings, repetition_code
 from stabcheck import (
     CriterionOutcome,
     StabilizerCode,
@@ -22,6 +23,7 @@ from stabcheck import (
     necessary_check,
     pauli_from_string,
     pauli_to_string,
+    random_css_code,
     shor,
     standard_form,
     standard_form_shortcut,
@@ -29,22 +31,18 @@ from stabcheck import (
     sufficient_nondegenerate,
     three_qubit_bit_flip,
 )
-from stabcheck.degeneracy import alt_error_count, iter_error_masks, iter_weight_masks
+from stabcheck import degeneracy
+from stabcheck.degeneracy import alt_error_count
 from stabcheck.symplectic import ALL_INDEPENDENT, DEPENDENT_FOUND
 
 
 class TestEnumeration:
-    def test_weight_zero_is_identity(self):
-        assert list(iter_weight_masks(3, 0)) == [(0, 0)]
-
     def test_single_qubit_order_is_x_y_z(self):
-        first = list(iter_weight_masks(2, 1))[:3]
-        assert first == [(1, 0), (1, 1), (0, 1)]  # X1, Y1, Z1
+        first = [pauli_to_string(p) for p in enumerate_errors(2, 1)][:3]
+        assert first == ["XI", "YI", "ZI"]
 
     def test_levels_ascend(self):
-        weights = []
-        for x, z in iter_error_masks(3, 2):
-            weights.append(bin(x | z).count("1"))
+        weights = [p.weight for p in enumerate_errors(3, 2)]
         assert weights == sorted(weights)
 
     def test_matches_oracle_strings(self):
@@ -52,6 +50,15 @@ class TestEnumeration:
             pauli_to_string(p) for p in enumerate_errors(4, 2)
         ]
         assert lib == list(oracles.errors_up_to(4, 2))
+
+    @pytest.mark.parametrize("tail,chunk", [(None, None), (0, 1), (1, 7)])
+    def test_multiword_masks_match_oracle_strings(self, monkeypatch, tail, chunk):
+        # 70 qubits: each mask spans two 64-bit words of the packed rows
+        if tail is not None:
+            monkeypatch.setattr(degeneracy, "_TAIL_LETTERS", tail)
+            monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
+        lib = [pauli_to_string(p) for p in enumerate_errors(70, 1)]
+        assert lib == list(oracles.errors_up_to(70, 1))
 
     @pytest.mark.parametrize("n,t", [(1, 1), (3, 2), (5, 3), (6, 1)])
     def test_count_formula(self, n, t):
@@ -70,7 +77,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("t", [0, 4])
     def test_bad_t_rejected(self, t):
         with pytest.raises(ValueError):
-            list(iter_error_masks(3, t))
+            enumerate_errors(3, t)
 
 
 class TestClassifyFixtures:
@@ -132,6 +139,16 @@ class TestClassifyFixtures:
     def test_early_exit_leaves_collision_count_unset(self, shor):
         assert classify(shor, 1).collision_count is None
 
+    @pytest.mark.parametrize("t", [0, 4])
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_t_outside_range_rejected_before_any_work(
+        self, bitflip3, fill_chunks, t, exhaustive
+    ):
+        # an empty level range would otherwise answer "nondegenerate"
+        with pytest.raises(ValueError, match=f"t={t} outside 1..3"):
+            classify(bitflip3, t, exhaustive=exhaustive)
+        assert fill_chunks == []
+
 
 class TestClassifyAgainstOracle:
     def test_random_codes_both_routes_agree(self):
@@ -153,26 +170,52 @@ class TestClassifyAgainstOracle:
 
 
 class TestFullMapStop:
-    """Exhaustive classify stops once all 2^(n-k) syndromes are claimed."""
+    """Exhaustive classify stops once all 2^(n-k) syndromes are claimed.
 
-    def test_steane_t2_stops_when_full(self, steane, syndrome_calls):
+    With one support per chunk, the fill ends with the chunk that holds the
+    error at which the one-error-at-a-time loop stopped: the later of the
+    error that claims the last free syndrome and the first collision.
+    """
+
+    @staticmethod
+    def assert_stops_with(code, t, fill_chunks, chunks, evaluated, stop):
+        _, _, filled_at, claimed_before = oracles.claim_syndromes(
+            generator_strings(code), t
+        )
+        assert max(filled_at, claimed_before + 1) == stop
+        assert len(fill_chunks) == chunks
+        assert sum(size for _, size in fill_chunks) == evaluated
+        w, size = fill_chunks[-1]
+        assert size == 3**w
+        assert evaluated - size < stop <= evaluated
+
+    def test_steane_t2_stops_when_full(
+        self, steane, fill_chunks, syndrome_calls, monkeypatch
+    ):
+        monkeypatch.setattr(degeneracy, "_FILL_CHUNK", 1)
         r = classify(steane, 2, exhaustive=True)
-        assert len(syndrome_calls) == 137  # of 210 errors
+        assert syndrome_calls == []
+        # the loop stopped at error 137 of 210, the fill evaluates 138
+        self.assert_stops_with(steane, 2, fill_chunks, 20, 138, 137)
         assert (r.syndrome_count, r.collision_count) == (63, 210 - 63)
 
-    def test_five_qubit_t2_stops_after_the_witness(self, five_qubit, syndrome_calls):
+    def test_five_qubit_t2_stops_after_the_witness(
+        self, five_qubit, fill_chunks, syndrome_calls, monkeypatch
+    ):
         # the 15 single-qubit errors fill the perfect code's map; the 16th
-        # error is the first collision
+        # error is the first collision, in the first weight-2 chunk
+        monkeypatch.setattr(degeneracy, "_FILL_CHUNK", 1)
         r = classify(five_qubit, 2, exhaustive=True)
-        assert len(syndrome_calls) == 16
+        assert syndrome_calls == []
+        self.assert_stops_with(five_qubit, 2, fill_chunks, 6, 24, 16)
         assert (r.syndrome_count, r.collision_count) == (15, 105 - 15)
         assert pauli_to_string(r.witness.second) == "XXIII"
 
-    def test_negative_budget_raises_before_the_enumeration(self, syndrome_calls):
+    def test_negative_budget_raises_before_the_enumeration(self, fill_chunks):
         bch = bch_31_11()
         with pytest.raises(ValueError, match="negative budget"):
             classify(bch, 2, with_criteria=True, budget=-1)
-        assert syndrome_calls == []
+        assert fill_chunks == []
 
     def test_random_codes_against_oracle(self):
         filled_early = 0
@@ -183,7 +226,7 @@ class TestFullMapStop:
             gens = generator_strings(code)
             for t in range(1, code.n + 1):
                 r = classify(code, t, exhaustive=True)
-                distinct, collision, filled_at = oracles.claim_syndromes(gens, t)
+                distinct, collision, filled_at, _ = oracles.claim_syndromes(gens, t)
                 total = error_count(code.n, t)
                 assert r.syndrome_count == distinct, (i, gens, t)
                 assert r.collision_count == total - distinct, (i, gens, t)
@@ -200,6 +243,97 @@ class TestFullMapStop:
                     filled_early += 1
         assert filled_early > 0
         assert kinds == {"none", "identity", "pair"}
+
+
+def assert_matches_claims(code, t, exhaustive, claims, span=True):
+    """classify's verdict, witness and counts against the result `claims` of
+    `oracles.claim_syndromes` for (code, t)."""
+    distinct, collision, _, claimed_before = claims
+    r = classify(code, t, exhaustive=exhaustive)
+    total = error_count(code.n, t)
+    if collision is None:
+        assert r.verdict is Verdict.NONDEGENERATE and r.witness is None
+        assert (r.syndrome_count, r.collision_count) == (distinct, total - distinct)
+        return r, None
+    assert r.verdict is Verdict.DEGENERATE
+    pair = (pauli_to_string(r.witness.first), pauli_to_string(r.witness.second))
+    assert pair == collision
+    if span:
+        product = oracles.multiply(*collision)
+        gens = generator_strings(code)
+        assert r.witness.product_in_stabilizer == (product in oracles.span(gens))
+    if exhaustive:
+        assert (r.syndrome_count, r.collision_count) == (distinct, total - distinct)
+    else:
+        assert (r.syndrome_count, r.collision_count) == (claimed_before, None)
+    return r, claimed_before
+
+
+class TestFirstCollision:
+    """Early-exit classify stops in the chunk that holds the first collision."""
+
+    # chunk and tail sizes that put first collisions at the start, inside and
+    # at the end of a chunk, against claimants of the same or an earlier chunk
+    PATCHES = [(None, None), (1, 0), (7, 0), (1, 1), (7, 1)]
+
+    def test_random_codes_against_oracle(self, monkeypatch, fill_chunks):
+        codes = [steane(), shor(), five_qubit(), three_qubit_bit_flip()]
+        codes += draw_codes(40, 6, seed=1010, css_share=0.3)
+        cases = []
+        for code in codes:
+            gens = generator_strings(code)
+            errors = list(oracles.errors_up_to(code.n, min(3, code.n)))
+            for t in range(1, min(3, code.n) + 1):
+                cases.append((code, t, oracles.claim_syndromes(gens, t), errors))
+        kinds = set()
+        for chunk, tail in self.PATCHES:
+            if chunk is not None:
+                monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
+                monkeypatch.setattr(degeneracy, "_TAIL_LETTERS", tail)
+            for i, (code, t, claims, errors) in enumerate(cases):
+                fill_chunks.clear()
+                r, before = assert_matches_claims(code, t, False, claims)
+                if before is None:
+                    continue
+                size = fill_chunks[-1][1]
+                start = sum(s for _, s in fill_chunks) - size
+                at = before - start  # the collision's place in its chunk
+                assert 0 <= at < size, (chunk, tail, i)
+                claimant = pauli_to_string(r.witness.first)
+                # the identity is claimed before any chunk
+                same = claimant != "I" * code.n and errors.index(claimant) >= start
+                place = "start" if at == 0 else "end" if at == size - 1 else "inside"
+                kinds.add((place, same))
+        assert kinds == {
+            ("start", False),
+            ("inside", False),
+            ("inside", True),
+            ("end", False),
+            ("end", True),
+        }
+
+
+class TestWideCodes:
+    """Past 62 generators the fill holds syndromes in object arrays.  The
+    oracle cannot list their stabilizer groups (2^63 elements and more)."""
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_repetition_code(self, t):
+        code = repetition_code(66)
+        assert degeneracy._letter_syndromes(code).dtype == object
+        claims = oracles.claim_syndromes(generator_strings(code), t)
+        for exhaustive in (False, True):
+            r, _ = assert_matches_claims(code, t, exhaustive, claims, span=False)
+            assert pauli_to_string(r.witness.first) == "X" + "I" * 65
+            assert not r.witness.product_in_stabilizer  # Z0 has odd weight
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_random_css_code(self, t):
+        code = random_css_code(66, 32, 31, random.Random(64))
+        assert code.num_generators == 63
+        claims = oracles.claim_syndromes(generator_strings(code), t)
+        for exhaustive in (False, True):
+            assert_matches_claims(code, t, exhaustive, claims, span=False)
 
 
 class TestColumnCriteria:
