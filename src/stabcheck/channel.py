@@ -11,8 +11,12 @@ reproducible and independent of how trials are split across workers.
 (Salmon et al., SC 2011) in numpy across every trial of the chunk and gives
 each trial the same words as `np.random.Generator(np.random.Philox(key=[seed,
 trial])).random(n)`, so the errors are those of the per-trial reference
-`sample_error(channel, n, _trial_rng(seed, trial))`.  Decoding stays per
-trial.
+`sample_error(channel, n, _trial_rng(seed, trial))`.  The chunk is decoded
+in numpy too: each trial's letter indices come straight from its uniforms,
+its syndrome and logical class key are XOR-gathered from the per-qubit
+letter keys, `searchsorted` finds the claimant of its syndrome, and the
+trial fails when the syndrome is uncovered or the class keys differ (in
+strict mode: when the masks differ).
 """
 
 from __future__ import annotations
@@ -21,10 +25,19 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .degeneracy import error_count, fill_syndrome_map, pack_rows
+from .degeneracy import (
+    SyndromeMap,
+    _letter_classes,
+    _letter_masks,
+    _letter_syndromes,
+    _xor_gather,
+    error_count,
+    fill_syndrome_map,
+)
 from .stabilizer import StabilizerCode
 from .symplectic import PauliOperator
 
@@ -68,26 +81,35 @@ class PauliChannel:
         return cls(p / 3.0, p / 3.0, p / 3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoderTable:
-    """Minimum-weight representative per syndrome.
+    """Minimum-weight representative per syndrome, for one code.
 
     Built breadth-first by weight, identity first, so each syndrome keeps the
     lightest error that produces it (ties: first in enumeration order): the
-    map of `classify`, from the same fill (`fill_syndrome_map`).  The fill
+    map of `classify`, from the same fill (`fill_syndrome_map`), held as its
+    arrays in `claims`, with the claimants' logical class keys.  The fill
     stops in the chunk in which every syndrome is claimed, so max_weight is
     the level at which the map filled.  Coverage may be partial when
     max_weight cuts the fill short; decoding an uncovered syndrome counts as
-    a failure.
+    a failure.  `n` and `checks` (the check-matrix rows, x | z << n) name the
+    code the table was built for; `run` refuses a table for another code.
     """
 
-    table: dict[int, tuple[int, int]]
+    n: int
+    checks: tuple[int, ...]
+    claims: SyndromeMap
     max_weight: int
     num_syndromes: int
 
+    @cached_property
+    def table(self) -> dict[int, tuple[int, int]]:
+        """Syndrome -> (x, z) masks in claim order, built on first access."""
+        return self.claims.as_dict()
+
     @property
     def covered(self) -> int:
-        return len(self.table)
+        return len(self.claims)
 
     @property
     def full(self) -> bool:
@@ -99,8 +121,10 @@ class DecoderTable:
 
 
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
-# table, 2**20 entries, peaks at about 200 MB RSS, and an entry takes at most
-# about 200 bytes when no masks are shared, so 2**22 entries stay under 1 GB.
+# table, 2**20 entries, peaks at 130 MB RSS, 40 MB of it the interpreter and
+# numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z words, class
+# key).  Reading its dict view brings the peak to 247 MB, so 2**22 entries
+# stay near 1 GB even then.
 _MAX_TABLE_ENTRIES = 1 << 22
 
 
@@ -122,8 +146,14 @@ def build_table(code: StabilizerCode, max_weight: int | None = None) -> DecoderT
             f"decoder table could hold {bound} entries, "
             f"more than the cap of {_MAX_TABLE_ENTRIES}"
         )
-    table, reached, _, _ = fill_syndrome_map(code, limit)
-    return DecoderTable(table=table, max_weight=reached, num_syndromes=total)
+    claims, reached, _, _ = fill_syndrome_map(code, limit)
+    return DecoderTable(
+        n=n,
+        checks=code.h.h.rows,
+        claims=claims,
+        max_weight=reached,
+        num_syndromes=total,
+    )
 
 
 def sample_error(
@@ -209,16 +239,17 @@ def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     return (words[:, :n] >> _U11) * 2.0**-53
 
 
-def _sample_masks(
+def _sample_letters(
     channel: PauliChannel, n: int, seed: int, start: int, stop: int
-) -> list[tuple[int, int]]:
-    """(x, z) masks of the errors that trials [start, stop) draw.
+) -> np.ndarray:
+    """Letters (0, 1, 2, 3 for X, Y, Z, I) of the errors that trials
+    [start, stop) draw, one trial per row.
 
-    Entry t - start equals `sample_error(channel, n, _trial_rng(seed, t))`.
+    Row t - start is `sample_error(channel, n, _trial_rng(seed, t))`: the
+    letter is the number of cumulative masses at or below the uniform.
     """
-    tx, txy, txyz = _thresholds(channel)
-    u = _uniforms(seed, start, stop, n)
-    return list(zip(pack_rows(u < txy), pack_rows((tx <= u) & (u < txyz))))
+    thresholds = np.array(_thresholds(channel))
+    return np.searchsorted(thresholds, _uniforms(seed, start, stop, n), side="right")
 
 
 def wilson_interval(
@@ -252,28 +283,33 @@ class SimResult:
 def _run_range(
     code: StabilizerCode,
     channel: PauliChannel,
-    table: dict[int, tuple[int, int]],
+    claims: SyndromeMap,
     seed: int,
     start: int,
     stop: int,
     strict: bool,
 ) -> int:
+    n = code.n
+    qubits = np.arange(n)
+    syndromes = _with_identity(_letter_syndromes(code))
+    residues = _with_identity(_letter_masks(n) if strict else _letter_classes(code))
+    kept = claims.masks if strict else claims.classes
+    keys, last = claims.syndromes, len(claims) - 1
     failures = 0
     for a in range(start, stop, _CHUNK):
-        for ex, ez in _sample_masks(channel, code.n, seed, a, min(a + _CHUNK, stop)):
-            s = code.syndrome_masks(ex, ez)
-            rep = table.get(s)
-            if rep is None:
-                failures += 1
-                continue
-            rx, rz = ex ^ rep[0], ez ^ rep[1]
-            if strict:
-                ok = rx == 0 and rz == 0
-            else:
-                ok = code.in_stabilizer_masks(rx, rz)
-            if not ok:
-                failures += 1
+        letters = _sample_letters(channel, n, seed, a, min(a + _CHUNK, stop))
+        syn = _xor_gather(syndromes, qubits, letters)
+        row = np.minimum(np.searchsorted(keys, syn), last)
+        # strict: the error is its claimant; else: they share a class
+        same = kept[claims.claimant[row]] == _xor_gather(residues, qubits, letters)
+        ok = (keys[row] == syn) & (same.all(axis=1) if strict else same)
+        failures += len(ok) - int(np.count_nonzero(ok))
     return failures
+
+
+def _with_identity(letter_keys: np.ndarray) -> np.ndarray:
+    """Per-qubit X, Y, Z keys with a fourth letter, I, whose keys are 0."""
+    return np.concatenate((letter_keys, np.zeros_like(letter_keys[:, :1])), axis=1)
 
 
 def pool_size(workers: int, spans: int, cpus: int | None) -> int:
@@ -307,12 +343,16 @@ def run(
     (code, channel, trials, seed, strict): the worker count changes wall time
     only.  `strict` demands exact error recovery instead of recovery up to a
     stabilizer element; it exists to measure how much degeneracy helps.
+    Raises ValueError before any trial when `table` was built for another
+    code.
     """
     check_run_args(trials, seed, workers)
     if table is None:
         table = build_table(code)
+    elif (table.n, table.checks) != (code.n, code.h.h.rows):
+        raise ValueError("decoder table was built for another code")
     if workers == 1 or trials < 2 * workers:
-        failures = _run_range(code, channel, table.table, seed, 0, trials, strict)
+        failures = _run_range(code, channel, table.claims, seed, 0, trials, strict)
     else:
         step = -(-trials // workers)
         spans = [
@@ -324,7 +364,7 @@ def run(
                 _run_range,
                 *zip(
                     *[
-                        (code, channel, table.table, seed, a, b, strict)
+                        (code, channel, table.claims, seed, a, b, strict)
                         for a, b in spans
                     ]
                 ),

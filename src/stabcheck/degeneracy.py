@@ -8,7 +8,10 @@ decides this exactly with `fill_syndrome_map`, the syndrome -> error map
 that `build_table` also fills, in the order of `enumerate_errors`; the column
 criteria (`sufficient_nondegenerate`, `necessary_check`, `css_nondegeneracy`,
 `standard_form_shortcut`) are one-sided or CSS-exact shortcuts that look at
-linear independence of check-matrix columns instead.
+linear independence of check-matrix columns instead.  The fill also gives
+each claimant its logical class key, its symplectic products with 2k
+logical operators: two errors with one syndrome differ by a stabilizer
+exactly when their class keys agree.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .symplectic import (
     DEPENDENT_FOUND,
     Gf2Matrix,
     PauliOperator,
+    RowBasis,
     SubsetSearch,
+    kernel_basis,
     smallest_dependent_subset,
 )
 
@@ -82,9 +87,11 @@ class ErrorEnumerator:
             raise ValueError(f"t={self.t} outside 1..{self.n}")
 
     def __iter__(self) -> Iterator[PauliOperator]:
+        letter_masks = _letter_masks(self.n)
         for _, chunk in _error_chunks(self.n, self.t):
             every = np.arange(len(chunk[0]) * len(chunk[2]))
-            for x, z in _error_masks(self.n, chunk, every, {}):
+            masks = _xor_gather(letter_masks, *_chunk_errors(chunk, every))
+            for x, z in _mask_ints(masks):
                 yield PauliOperator.from_masks(self.n, x, z)
 
     def __len__(self) -> int:
@@ -123,70 +130,138 @@ Masks = tuple[int, int]
 Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+@dataclass(frozen=True, eq=False)
+class SyndromeMap:
+    """The syndrome -> error map of `fill_syndrome_map`, as arrays.
+
+    `syndromes` holds the claimed syndromes in ascending order and
+    `claimant` the claim of each: its row in `masks` and `classes`, which
+    are in claim order, row 0 the identity's.  A row of `masks` is the
+    claimant's x words then its z words, little-endian uint64 with qubit j
+    at bit j % 64 of word j // 64.  Class keys are those of
+    `_letter_classes`, so two errors with equal syndromes differ by a
+    stabilizer exactly when their class keys agree.  Syndromes and class
+    keys are int64, or Python ints in object arrays past 62 bits.
+    """
+
+    syndromes: np.ndarray
+    claimant: np.ndarray
+    masks: np.ndarray
+    classes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.syndromes)
+
+    def as_dict(self) -> dict[int, Masks]:
+        """Syndrome -> (x, z) in claim order, one int object per distinct mask.
+
+        The 2**20 entries of the [[31,11,5]] table hold 17,623 distinct masks,
+        so sharing them saves about 60 MB.  The dict is filled in blocks, so
+        that the lists feeding it stay small.
+        """
+        size, words = self.masks.shape[0], self.masks.shape[1] // 2
+        rank = np.empty_like(self.claimant)
+        rank[self.claimant] = np.arange(size)
+        shared: dict[int, int] = {}
+        table: dict[int, Masks] = {}
+        for a in range(0, size, _FILL_CHUNK):
+            block = self.masks[a : a + _FILL_CHUNK]
+            x = [shared.setdefault(v, v) for v in _word_ints(block[:, :words])]
+            z = [shared.setdefault(v, v) for v in _word_ints(block[:, words:])]
+            keys = self.syndromes[rank[a : a + _FILL_CHUNK]].tolist()
+            table.update(zip(keys, zip(x, z)))
+        return table
+
+
+# The first collision of a fill: claimant masks, error masks, and whether
+# their product is in the stabilizer.
+Collision = tuple[Masks, Masks, bool]
+
+
 def fill_syndrome_map(
     code: StabilizerCode, max_weight: int, *, full: bool = True, collision: bool = False
-) -> tuple[dict[int, Masks], int, tuple[Masks, Masks] | None, int | None]:
-    """Syndrome -> (x, z) map of the errors of weight 1..max_weight.
+) -> tuple[SyndromeMap, int, Collision | None, int | None]:
+    """Syndrome -> error map of the errors of weight 1..max_weight.
 
     The identity claims the zero syndrome; every other syndrome is kept by
     the first error in enumeration order that produces it.  Each chunk of a
     weight level is evaluated as an array of syndromes (int64, or Python
     ints in an object array past 62 bits), XOR-gathered from the per-qubit
     letter syndromes; `np.unique` gives their first occurrences, those not
-    in the sorted array of claimed keys are claimed in order, and only their
-    masks are expanded.  The fill stops before the next chunk once the map
-    is full (if `full`) and an error has collided (if `collision`).
+    in the sorted array of claimed keys are claimed in order, and only at
+    their positions are masks and class keys gathered.  The fill stops
+    before the next chunk once the map is full (if `full`) and an error has
+    collided (if `collision`).
 
-    Returns (map, last weight evaluated, first collision as (claimant masks,
-    error masks) or None, syndromes claimed before it or None).
+    Returns (map, last weight evaluated, first collision or None, syndromes
+    claimed before it or None).
     """
     n, total = code.n, 1 << code.num_generators
     letters = _letter_syndromes(code)
-    table: dict[int, Masks] = {0: (0, 0)}
-    claimed = np.zeros(1, dtype=letters.dtype)  # table keys, sorted, in [:len(table)]
-    # one int object per distinct mask: the 2**20 entries of the [[31,11,5]]
-    # table hold 17,623 distinct masks, so sharing them saves ~60 MB
-    shared: dict[int, int] = {}
-    reached, first_collision, claimed_before = 0, None, None
+    letter_masks = _letter_masks(n)
+    letter_classes = _letter_classes(code)
+    size = 1
+    claimed = np.zeros(1, dtype=letters.dtype)  # claimed syndromes, sorted, in [:size]
+    # the claims in claim order, in [:size], the identity's first: syndromes,
+    # masks and class keys
+    claims_by_order = (
+        claimed.copy(),
+        np.zeros((1, letter_masks.shape[2]), dtype=np.uint64),
+        np.zeros(1, dtype=letter_classes.dtype),
+    )
+    reached, clash, claimed_before = 0, None, None
     for w, chunk in _error_chunks(n, max_weight):
-        if (not full or len(table) == total) and (
-            not collision or first_collision is not None
-        ):
+        if (not full or size == total) and (not collision or clash is not None):
             break
         reached = w
         syn = _chunk_syndromes(letters, chunk)
         values, first = np.unique(syn, return_index=True)
-        size = len(table)
         keys = claimed[:size]
         at = np.searchsorted(keys, values)
         fresh = keys[np.minimum(at, size - 1)] != values
         values, first, at = values[fresh], first[fresh], at[fresh]
+        end = size + len(values)
         if len(values):
             claimed = _merge_sorted(claimed, size, values, at, total)
             order = np.argsort(first)
-            values, first = values[order], first[order]
-            table.update(zip(values.tolist(), _error_masks(n, chunk, first, shared)))
-        if first_collision is None:
+            first = first[order]
+            new = (values[order], *_claims(chunk, first, letter_masks, letter_classes))
+            claims_by_order = tuple(
+                _reserve(buf, size, end, total) for buf in claims_by_order
+            )
+            for buf, part in zip(claims_by_order, new):
+                buf[size:end] = part
+        if clash is None:
             # claims come first in the chunk up to its first collision
             pos = int(np.count_nonzero(first == np.arange(len(first))))
             if pos < len(syn):
-                error = _error_masks(n, chunk, np.array([pos]), shared)[0]
-                first_collision = (table[int(syn[pos])], error)
+                error = _claims(chunk, np.array([pos]), letter_masks, letter_classes)
+                clash = (syn[pos], error)
                 claimed_before = size - 1 + pos
-    return table, reached, first_collision, claimed_before
+        size = end
+    # trimmed copies: the spare rows of a grown buffer may be resident
+    syn, masks, classes = (buf[:size].copy() for buf in claims_by_order)
+    claimant = np.argsort(syn)
+    claims = SyndromeMap(claimed[:size].copy(), claimant, masks, classes)
+    first_collision = None
+    if clash is not None:
+        s, (error_masks, error_class) = clash
+        row = claimant[np.searchsorted(claims.syndromes, s)]
+        first_collision = (
+            _mask_ints(masks[row : row + 1])[0],
+            _mask_ints(error_masks)[0],
+            bool(classes[row] == error_class[0]),
+        )
+    return claims, reached, first_collision, claimed_before
 
 
 def _merge_sorted(
     buf: np.ndarray, size: int, values: np.ndarray, at: np.ndarray, cap: int
 ) -> np.ndarray:
-    """buf[:size] with sorted `values` inserted at positions `at`: in place,
-    or in a buffer grown to at most `cap` entries when buf is full."""
+    """buf[:size] with sorted `values` inserted at positions `at`, in place
+    or in a grown buffer (`_reserve`)."""
     end = size + len(values)
-    if end > len(buf):
-        # np.empty leaves the spare pages untouched until claims reach them
-        grown = np.empty(min(cap, 2 * end), dtype=buf.dtype)
-        grown[:size] = buf[:size]
-        buf = grown
+    buf = _reserve(buf, size, end, cap)
     lo = int(at[0])
     dest = at + np.arange(len(values))
     moved = np.ones(end - lo, dtype=bool)
@@ -196,11 +271,71 @@ def _merge_sorted(
     return buf
 
 
+def _reserve(buf: np.ndarray, size: int, end: int, cap: int) -> np.ndarray:
+    """buf if it has `end` rows, else its first `size` rows in a new buffer
+    of min(cap, 2 * end) rows."""
+    if end <= len(buf):
+        return buf
+    # np.empty leaves the spare pages untouched until claims reach them
+    grown = np.empty((min(cap, 2 * end), *buf.shape[1:]), dtype=buf.dtype)
+    grown[:size] = buf[:size]
+    return grown
+
+
+def _key_dtype(bits: int) -> type:
+    """int64 for keys of up to 62 bits, Python ints in object arrays past that."""
+    return object if bits > 62 else np.int64
+
+
 def _letter_syndromes(code: StabilizerCode) -> np.ndarray:
     """Row q: the syndromes of X, Y and Z on qubit q, int64 up to 62 bits."""
     sm = code.syndrome_matrices
     rows = [(b, b ^ p, p) for b, p in zip(sm.bsm.rows, sm.psm.rows)]
-    return np.array(rows, dtype=object if code.num_generators > 62 else np.int64)
+    return np.array(rows, dtype=_key_dtype(code.num_generators))
+
+
+def _letter_masks(n: int) -> np.ndarray:
+    """[q, a]: the x words then the z words of letter a (X, Y, Z) on qubit q."""
+    words = -(-n // 64)
+    q = np.arange(n)
+    bit = np.left_shift(np.uint64(1), (q % 64).astype(np.uint64))
+    out = np.zeros((n, 3, 2 * words), dtype=np.uint64)
+    out[q, 0, q // 64] = bit
+    out[q, 1, q // 64] = bit
+    out[q, 1, words + q // 64] = bit
+    out[q, 2, words + q // 64] = bit
+    return out
+
+
+def _logicals(code: StabilizerCode) -> list[int]:
+    """2k logical operators (x | z << n) that span the normalizer modulo S.
+
+    The normalizer is the kernel of the symplectic form against the check
+    rows; each kernel vector is reduced modulo S and the operators kept so
+    far, and kept when a residue remains.
+    """
+    n, low = code.n, (1 << code.n) - 1
+    swapped = Gf2Matrix(2 * n, tuple(r >> n | (r & low) << n for r in code.h.h.rows))
+    basis = RowBasis(2 * n, code.h.h.rows)
+    logicals = []
+    for v in kernel_basis(swapped):
+        residue = basis.reduce(v.bits)
+        if residue:
+            basis.add(residue)
+            logicals.append(residue)
+    return logicals
+
+
+def _letter_classes(code: StabilizerCode) -> np.ndarray:
+    """Row q: the class keys of X, Y and Z on qubit q.
+
+    Bit j of a key is the symplectic product with logical j of `_logicals`,
+    so X on q reads column n + q of the logicals (their Z part), Z column q.
+    """
+    n = code.n
+    cols = Gf2Matrix(2 * n, tuple(_logicals(code))).columns()
+    rows = [(cols[n + q], cols[n + q] ^ cols[q], cols[q]) for q in range(n)]
+    return np.array(rows, dtype=_key_dtype(2 * code.k))
 
 
 def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, Chunk]]:
@@ -240,36 +375,55 @@ def _chunk_syndromes(letters: np.ndarray, chunk: Chunk) -> np.ndarray:
     return syn.ravel()
 
 
-def _error_masks(
-    n: int, chunk: Chunk, at: np.ndarray, shared: dict[int, int]
-) -> list[Masks]:
-    """(x, z) masks of the chunk's errors at flat positions `at`, each mask
-    the object in `shared`."""
+def _claims(
+    chunk: Chunk, at: np.ndarray, masks: np.ndarray, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks and class keys of the chunk's errors at flat positions `at`."""
+    qubits, letters = _chunk_errors(chunk, at)
+    return _xor_gather(masks, qubits, letters), _xor_gather(classes, qubits, letters)
+
+
+def _chunk_errors(chunk: Chunk, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Supports and letters (0, 1, 2 for X, Y, Z) of the chunk's errors at
+    flat positions `at`, one error per row."""
     supports, heads, tails = chunk
     r, c = np.divmod(at, len(tails))
-    letters = np.hstack((heads[r], tails[c]))  # 0, 1, 2 for X, Y, Z
-    x = np.zeros((len(r), n), dtype=bool)
-    z = np.zeros((len(r), n), dtype=bool)
-    rows = np.arange(len(r))[:, None]
-    x[rows, supports[r]] = letters != 2
-    z[rows, supports[r]] = letters != 0
-    return [
-        (shared.setdefault(a, a), shared.setdefault(b, b))
-        for a, b in zip(pack_rows(x), pack_rows(z))
-    ]
+    return supports[r], np.hstack((heads[r], tails[c]))
 
 
-def pack_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a bool matrix as a Python int, column j at bit j."""
-    words = -(-bits.shape[1] // 64)
-    padded = np.zeros((bits.shape[0], 8 * words), dtype=np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    padded[:, : packed.shape[1]] = packed
-    cols = padded.view("<u8")
-    rows = cols[:, 0].tolist()
-    for k in range(1, words):
-        rows = [r | w << 64 * k for r, w in zip(rows, cols[:, k].tolist())]
-    return rows
+def _xor_gather(
+    keys: np.ndarray, qubits: np.ndarray, letters: np.ndarray
+) -> np.ndarray:
+    """Key of each error: the XOR over its qubits q and letters a of
+    keys[q, a], one error per row of `letters` (`qubits` broadcasts).
+
+    Each trailing axis entry of `keys` (a mask word) is gathered on its own:
+    1-D gathers run several times faster than gathers of rows.
+    """
+    at = qubits * keys.shape[1] + letters
+    columns = keys.reshape(keys.shape[0] * keys.shape[1], -1).T
+    out = np.empty((len(columns), len(at)), dtype=keys.dtype)
+    for k, column in enumerate(columns):
+        column = np.ascontiguousarray(column)
+        acc = column[at[:, 0]]
+        for j in range(1, at.shape[1]):
+            acc ^= column[at[:, j]]
+        out[k] = acc
+    return out.T.reshape(len(at), *keys.shape[2:])
+
+
+def _mask_ints(masks: np.ndarray) -> list[Masks]:
+    """(x, z) Python ints of rows of x words then z words."""
+    words = masks.shape[1] // 2
+    return list(zip(_word_ints(masks[:, :words]), _word_ints(masks[:, words:])))
+
+
+def _word_ints(words: np.ndarray) -> list[int]:
+    """Each row of uint64 words as one Python int."""
+    ints = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        ints = [r | w << 64 * k for r, w in zip(ints, words[:, k].tolist())]
+    return ints
 
 
 @dataclass(frozen=True)
@@ -332,16 +486,16 @@ def classify(
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
     n = code.n
-    table, _, collision, claimed_before = fill_syndrome_map(
+    claims, _, collision, claimed_before = fill_syndrome_map(
         code, t, full=exhaustive, collision=True
     )
     witness: CollisionWitness | None = None
     if collision is not None:
-        (fx, fz), (x, z) = collision
+        (fx, fz), (x, z), same_class = collision
         witness = CollisionWitness(
             first=PauliOperator.from_masks(n, fx, fz),
             second=PauliOperator.from_masks(n, x, z),
-            product_in_stabilizer=code.in_stabilizer_masks(fx ^ x, fz ^ z),
+            product_in_stabilizer=same_class,
         )
     verdict = Verdict.NONDEGENERATE if witness is None else Verdict.DEGENERATE
     criteria: dict[str, CriterionOutcome] = {
@@ -359,7 +513,7 @@ def classify(
         criteria["necessary_columns"] = _necessary_outcome(search, t)
         criteria["css_blocks"] = css_nondegeneracy(code, t, budget=budget)
         criteria["standard_form"] = standard_form_shortcut(standard_form(code), t)
-    distinct = len(table) - 1 if exhaustive or witness is None else claimed_before
+    distinct = len(claims) - 1 if exhaustive or witness is None else claimed_before
     expected = error_count(n, t)
     return ClassificationReport(
         verdict=verdict,

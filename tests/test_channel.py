@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import bch_31_11, draw_codes, generator_strings, repetition_code
+from conftest import (
+    bch_31_11,
+    css_state_6_0,
+    draw_codes,
+    generator_strings,
+    repetition_code,
+)
 from stabcheck import (
     PauliChannel,
     StabilizerCode,
@@ -22,9 +28,10 @@ from stabcheck import (
 )
 from stabcheck.channel import (
     _mulhilo,
-    _sample_masks,
+    _sample_letters,
     _trial_rng,
     _uniforms,
+    _with_identity,
     pool_size,
     sample_error,
 )
@@ -139,6 +146,58 @@ class TestDecoderTable:
         assert t.covered == 64  # Z errors collide with the identity, Y with X
         for s, (x, z) in t.table.items():
             assert code.syndrome_masks(x, z) == s
+
+    def test_decode_and_fill_arrays_keep_integer_dtypes(self):
+        # NumPy 1.x promotes int64 mixed with uint64 to float64; syndromes
+        # and class keys stay int64 up to 62 bits and Python ints past that,
+        # mask words uint64
+        ch = PauliChannel(0.1, 0.2, 0.3)
+        wide = random_code(70, 10, random.Random(70))  # 2k = 120 class bits
+        gather = degeneracy._xor_gather
+        for code, syn_dtype, cls_dtype in (
+            (bch_31_11(), np.int64, np.int64),
+            (repetition_code(64), object, np.int64),
+            (wide, np.int64, object),
+        ):
+            n, words = code.n, -(-code.n // 64)
+            claims = build_table(code, 1).claims
+            assert claims.syndromes.dtype == syn_dtype
+            assert claims.classes.dtype == cls_dtype
+            assert claims.masks.dtype == np.uint64
+            assert claims.masks.shape == (len(claims), 2 * words)
+            assert claims.claimant.dtype.kind == "i"
+            letters = _sample_letters(ch, n, 3, 0, 50)
+            assert letters.dtype.kind == "i"
+            assert set(np.unique(letters).tolist()) == {0, 1, 2, 3}
+            qubits = np.arange(n)
+            for keys, dtype in (
+                (degeneracy._letter_syndromes(code), syn_dtype),
+                (degeneracy._letter_classes(code), cls_dtype),
+                (degeneracy._letter_masks(n), np.uint64),
+            ):
+                keys = _with_identity(keys)
+                assert keys.dtype == dtype
+                assert gather(keys, qubits, letters).dtype == dtype
+        # the widest int64 keys and the top mask bit survive the gather
+        code = repetition_code(63)
+        letters = np.full((1, 63), 3)
+        letters[0, 61:] = 0  # X on the last two qubits
+        syndromes = _with_identity(degeneracy._letter_syndromes(code))
+        assert gather(syndromes, np.arange(63), letters).tolist() == [1 << 60]
+        masks = _with_identity(degeneracy._letter_masks(64))
+        letters = np.full((1, 64), 3)
+        letters[0, 63] = 1  # Y on the last qubit
+        assert gather(masks, np.arange(64), letters).tolist() == [[1 << 63] * 2]
+
+    def test_dict_view_of_bch_weight_three_table(self):
+        code = bch_31_11()
+        t = build_table(code, 3)
+        assert t.table is t.table  # built once
+        table, _ = oracles.table_fill(code, 3)
+        assert list(t.table.items()) == list(table.items())
+        # one int object per distinct mask, as a dict of shared masks holds
+        masks = [m for pair in t.table.values() for m in pair]
+        assert len({id(m) for m in masks}) == len(set(masks))
 
     def test_representatives_have_minimal_weight(self, steane):
         gens = generator_strings(steane)
@@ -285,11 +344,11 @@ class TestBatchedStream:
     )
     def test_masks_equal_per_trial_sampler(self, ch):
         for n in (1, 5, 8, 9, 31, 65, 70):
-            masks = _sample_masks(ch, n, 11, 2**32 - 20, 2**32 + 20)
-            assert len(masks) == 40
-            for trial, (x, z) in enumerate(masks, start=2**32 - 20):
+            letters = _sample_letters(ch, n, 11, 2**32 - 20, 2**32 + 20)
+            assert letters.shape == (40, n)
+            for trial, row in enumerate(letters, start=2**32 - 20):
                 err = sample_error(ch, n, _trial_rng(11, trial))
-                assert (x, z) == (err.x.bits, err.z.bits), (n, trial)
+                assert "".join("XYZI"[v] for v in row) == pauli_to_string(err)
 
 
 class TestAgainstOracle:
@@ -330,11 +389,26 @@ class TestAgainstOracle:
         table = build_table(code, 1)
         assert not table.full
         ch = PauliChannel(0.002, 0.001, 0.002)
-        masks = _sample_masks(ch, 70, 5, 0, 400)
-        assert any((x | z) >> 64 for x, z in masks)  # errors reach the ninth byte
+        letters = _sample_letters(ch, 70, 5, 0, 400)
+        assert (letters[:, 64:] < 3).any()  # errors reach the second word
         expected = oracles.simulate_failures(code, ch, 400, 5, table.table)
         assert 0 < expected < 400
         assert simulate(code, ch, 400, 5, table=table).failures == expected
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_stabilizer_state_matches_oracle(self, strict):
+        # k = 0: class keys are 0 bits wide, so only uncovered syndromes fail
+        # a loose decode
+        code = css_state_6_0()
+        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0]] * 6
+        ch = PauliChannel(0.06, 0.03, 0.05)
+        for table in (build_table(code), build_table(code, 1)):
+            expected = oracles.simulate_failures(code, ch, 400, 3, table.table, strict)
+            r = simulate(code, ch, 400, 3, table=table, strict=strict)
+            assert r.failures == expected
+            if not strict and table.full:
+                assert expected == 0
+        assert 0 < expected < 400
 
 
 class TestWilson:
@@ -431,6 +505,17 @@ class TestRun:
         ch = PauliChannel.depolarizing(0.05)
         t = build_table(steane)
         assert simulate(steane, ch, 500, 8, table=t) == simulate(steane, ch, 500, 8)
+
+    def test_table_for_another_code_refused(self, steane, shor, monkeypatch):
+        ch = PauliChannel.depolarizing(0.05)
+        other = random_code(7, 6, random.Random(7))  # same n, other checks
+        reordered = StabilizerCode.from_strings(*generator_strings(steane)[::-1])
+        monkeypatch.setattr(channel, "_uniforms", None)  # no trial may start
+        for code in (shor, other, reordered):
+            with pytest.raises(ValueError, match="built for another code"):
+                simulate(steane, ch, 2000, 1, table=build_table(code))
+            with pytest.raises(ValueError, match="built for another code"):
+                simulate(steane, ch, 2000, 1, table=build_table(code), workers=3)
 
     def test_strict_counts_degenerate_recoveries_as_failures(self, shor):
         ch = PauliChannel.depolarizing(0.08)

@@ -6,7 +6,13 @@ from math import comb
 import pytest
 
 import oracles
-from conftest import bch_31_11, draw_codes, generator_strings, repetition_code
+from conftest import (
+    bch_31_11,
+    css_state_6_0,
+    draw_codes,
+    generator_strings,
+    repetition_code,
+)
 from stabcheck import (
     CriterionOutcome,
     StabilizerCode,
@@ -23,6 +29,7 @@ from stabcheck import (
     necessary_check,
     pauli_from_string,
     pauli_to_string,
+    random_code,
     random_css_code,
     shor,
     standard_form,
@@ -33,7 +40,7 @@ from stabcheck import (
 )
 from stabcheck import degeneracy
 from stabcheck.degeneracy import alt_error_count
-from stabcheck.symplectic import ALL_INDEPENDENT, DEPENDENT_FOUND
+from stabcheck.symplectic import ALL_INDEPENDENT, DEPENDENT_FOUND, PauliOperator
 
 
 class TestEnumeration:
@@ -334,6 +341,98 @@ class TestWideCodes:
         claims = oracles.claim_syndromes(generator_strings(code), t)
         for exhaustive in (False, True):
             assert_matches_claims(code, t, exhaustive, claims, span=False)
+
+
+def gf2_rank(rows: list[int]) -> int:
+    rank = 0
+    rows = list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+class TestClassKeys:
+    """Each letter's class key holds its symplectic products with 2k
+    logicals that span the normalizer modulo the stabilizer."""
+
+    @staticmethod
+    def assert_keys(code):
+        n, k = code.n, code.k
+        low = (1 << n) - 1
+        logicals = [
+            pauli_to_string(PauliOperator.from_masks(n, v & low, v >> n))
+            for v in degeneracy._logicals(code)
+        ]
+        assert len(logicals) == 2 * k
+        gens = generator_strings(code)
+        for logical in logicals:
+            assert not any(oracles.anticommutes(g, logical) for g in gens)
+        # the commutation matrix of a basis of N(S) modulo S is invertible
+        gram = [
+            sum(oracles.anticommutes(a, b) << j for j, b in enumerate(logicals))
+            for a in logicals
+        ]
+        assert gf2_rank(gram) == 2 * k
+        keys = degeneracy._letter_classes(code)
+        assert keys.shape == (n, 3)
+        for q in range(n):
+            for i, letter in enumerate("XYZ"):
+                error = "I" * q + letter + "I" * (n - q - 1)
+                want = sum(
+                    oracles.anticommutes(error, logical) << j
+                    for j, logical in enumerate(logicals)
+                )
+                assert keys[q, i] == want, (q, letter)
+
+    def test_random_codes(self):
+        for code in draw_codes(60, 8, seed=21, css_share=0.3):
+            self.assert_keys(code)
+
+    def test_fixtures(self):
+        for code in (steane(), shor(), five_qubit(), three_qubit_bit_flip()):
+            self.assert_keys(code)
+
+    def test_code_without_logicals(self):
+        code = css_state_6_0()
+        self.assert_keys(code)
+        assert degeneracy._logicals(code) == []
+        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0]] * 6
+
+    def test_wide_code(self):
+        code = random_code(70, 10, random.Random(70))
+        self.assert_keys(code)
+        assert degeneracy._letter_classes(code).dtype == object  # 120 bits
+
+    def test_equal_keys_decide_stabilizer_products(self):
+        # two errors with one syndrome differ by a stabilizer exactly when
+        # their class keys agree
+        seen = set()
+        for code in draw_codes(30, 6, seed=5, css_share=0.3):
+            gens = generator_strings(code)
+            group = oracles.span(gens)
+            classes = degeneracy._letter_classes(code)
+            by_syndrome: dict[str, list[str]] = {}
+            for e in ["I" * code.n, *oracles.errors_up_to(code.n, 2)]:
+                by_syndrome.setdefault(oracles.syndrome_string(gens, e), []).append(e)
+
+            def key(e: str) -> int:
+                out = 0
+                for q, c in enumerate(e):
+                    if c != "I":
+                        out ^= int(classes[q, "XYZ".index(c)])
+                return out
+
+            for errors in by_syndrome.values():
+                for a in errors[:4]:
+                    for b in errors[:4]:
+                        same = key(a) == key(b)
+                        assert same == (oracles.multiply(a, b) in group)
+                        seen.add((same, a == b))
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestColumnCriteria:
