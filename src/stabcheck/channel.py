@@ -14,9 +14,9 @@ trial])).random(n)`, so the errors are those of the per-trial reference
 `sample_error(channel, n, _trial_rng(seed, trial))`.  The chunk is decoded
 in numpy too: each trial's letter indices come straight from its uniforms,
 its syndrome and logical class key are XOR-gathered from the per-qubit
-letter keys, `searchsorted` finds the claimant of its syndrome, and the
-trial fails when the syndrome is uncovered or the class keys differ (in
-strict mode: when the masks differ).
+letter keys that the table's fill used, `searchsorted` finds the claimant
+of its syndrome, and the trial fails when the syndrome is uncovered or the
+class keys differ (in strict mode: when the masks differ).
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ import numpy as np
 
 from .degeneracy import (
     SyndromeMap,
-    _letter_classes,
     _letter_masks,
-    _letter_syndromes,
     _xor_gather,
     error_count,
     fill_syndrome_map,
@@ -291,8 +289,8 @@ def _run_range(
 ) -> int:
     n = code.n
     qubits = np.arange(n)
-    syndromes = _with_identity(_letter_syndromes(code))
-    residues = _with_identity(_letter_masks(n) if strict else _letter_classes(code))
+    syndromes = _with_identity(claims.letter_syndromes)
+    residues = _with_identity(_letter_masks(n) if strict else claims.letter_classes)
     kept = claims.masks if strict else claims.classes
     keys, last = claims.syndromes, len(claims) - 1
     failures = 0

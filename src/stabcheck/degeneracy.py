@@ -142,12 +142,16 @@ class SyndromeMap:
     `_letter_classes`, so two errors with equal syndromes differ by a
     stabilizer exactly when their class keys agree.  Syndromes and class
     keys are int64, or Python ints in object arrays past 62 bits.
+    `letter_syndromes` and `letter_classes` are the per-qubit X, Y and Z
+    keys the fill gathered them from, kept for decoding.
     """
 
     syndromes: np.ndarray
     claimant: np.ndarray
     masks: np.ndarray
     classes: np.ndarray
+    letter_syndromes: np.ndarray
+    letter_classes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.syndromes)
@@ -242,7 +246,9 @@ def fill_syndrome_map(
     # trimmed copies: the spare rows of a grown buffer may be resident
     syn, masks, classes = (buf[:size].copy() for buf in claims_by_order)
     claimant = np.argsort(syn)
-    claims = SyndromeMap(claimed[:size].copy(), claimant, masks, classes)
+    claims = SyndromeMap(
+        claimed[:size].copy(), claimant, masks, classes, letters, letter_classes
+    )
     first_collision = None
     if clash is not None:
         s, (error_masks, error_class) = clash

@@ -2,10 +2,11 @@
 
 The distance of a stabilizer code is the least symplectic weight over the
 operators that commute with every generator (zero syndrome) but are not
-stabilizer elements themselves.  `min_distance` searches weight levels
-ascending, so the first hit is exact.  `column_bounds` derives distance
-bounds from the largest m such that every m-subset of check-matrix columns
-is independent, without enumerating errors.
+stabilizer elements themselves.  `column_bounds` derives distance bounds
+from the largest m such that every m-subset of check-matrix columns is
+independent, without enumerating errors.  `min_distance` searches weight
+levels ascending from that lower bound, since no level below it can hold a
+zero-syndrome operator, so the first hit is exact.
 """
 
 from __future__ import annotations
@@ -249,8 +250,20 @@ def min_distance(
 ) -> DistanceResult:
     """Exhaustive minimum-distance search up to `search_limit` (default n).
 
-    Weight levels ascend, so the first operator with zero syndrome outside
-    the stabilizer row space is a minimum-weight logical and d is exact.
+    Weight levels ascend from the column lower bound, so the first operator
+    with zero syndrome outside the stabilizer row space is a minimum-weight
+    logical and d is exact.  No level below the bound needs a search:
+
+    - a weight-w operator with zero syndrome is a dependent set of at most
+      2w columns of [H_X|H_Z] (its x and z bits);
+    - with every M-subset independent, no w <= floor(M/2) holds one,
+      stabilizer elements included, so no w below 2*floor(M/4)+1 does;
+    - M is a verified floor under any budget, so the bound holds under any
+      budget too;
+    - when `exact` is set, both CSS blocks have every 2t-subset independent,
+      so the x and z parts of a nonzero zero-syndrome operator each have
+      weight 0 or at least 2t+1, and d >= 2t+1.
+
     Column bounds are attached to the result; the 4t+1 upper bound needs a
     `t` and is omitted otherwise.  Codes with k=0 have no logical operators,
     so they get d=None without a search.
@@ -271,7 +284,7 @@ def min_distance(
     d: int | None = None
     witness: PauliOperator | None = None
     if code.k >= 1:  # a stabilizer state has no logical operators
-        for w in range(1, limit + 1):
+        for w in range(max(1, lower), limit + 1):
             hit = _first_logical(code, w)
             if hit is not None:
                 d = w

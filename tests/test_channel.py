@@ -506,6 +506,31 @@ class TestRun:
         t = build_table(steane)
         assert simulate(steane, ch, 500, 8, table=t) == simulate(steane, ch, 500, 8)
 
+    def test_letter_tables_come_from_the_table(self, steane, monkeypatch):
+        # the fill's per-qubit keys travel in the table, so the code's
+        # logicals are taken once per simulate and never inside run
+        calls = []
+        inner = degeneracy._logicals
+
+        def counted(code):
+            calls.append(code)
+            return inner(code)
+
+        monkeypatch.setattr(degeneracy, "_logicals", counted)
+        ch = PauliChannel.depolarizing(0.05)
+        assert simulate(steane, ch, 2000, 42).failures == 73
+        assert len(calls) == 1
+        table = build_table(steane)
+
+        def refused(code):
+            raise AssertionError("run recomputed the letter tables")
+
+        # a forked worker inherits the patch, so a call there fails the run
+        monkeypatch.setattr(degeneracy, "_logicals", refused)
+        for workers in (1, 3):
+            r = simulate(steane, ch, 2000, 42, table=table, workers=workers)
+            assert r.failures == 73
+
     def test_table_for_another_code_refused(self, steane, shor, monkeypatch):
         ch = PauliChannel.depolarizing(0.05)
         other = random_code(7, 6, random.Random(7))  # same n, other checks

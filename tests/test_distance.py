@@ -214,7 +214,8 @@ class TestColumnBounds:
 
     def test_bch_distance_is_five(self):
         code = bch_31_11()
-        # lower half: exhaustive search below 5 finds nothing
+        # lower half: with no t the column bound settles levels 1-2 (order
+        # 4), and the search of levels 3-4 finds nothing
         assert min_distance(code, 4).d is None
         # upper half: an explicit weight-5 logical, verified both routes
         from stabcheck import pauli_from_string
@@ -327,6 +328,134 @@ class TestRandomConsistency:
                 assert_valid_logical(code, res.witness)
 
 
+@pytest.fixture
+def searched_levels(monkeypatch):
+    """Weight levels `min_distance` hands to the per-support search, in order."""
+    levels = []
+    inner = distance._first_logical
+
+    def recorded(code, w):
+        levels.append(w)
+        return inner(code, w)
+
+    monkeypatch.setattr(distance, "_first_logical", recorded)
+    return levels
+
+
+BCH_WITNESS = "XIXIIIIXXIIIIXIIIIIIIIIIIIIIIII"
+
+
+class TestSearchedLevels:
+    def test_bch_bounds_settle_every_level_to_four(self, searched_levels):
+        res = min_distance(bch_31_11(), 4, t=2)
+        assert (res.d, res.lower, res.upper) == (None, 5, 5)
+        assert searched_levels == []
+
+    def test_bch_searches_level_five_alone(self, searched_levels):
+        res = min_distance(bch_31_11(), 5, t=2)
+        assert searched_levels == [5]
+        assert res.d == 5
+        assert pauli_to_string(res.witness) == BCH_WITNESS
+
+    def test_bch_without_t_starts_at_the_order_bound(self, searched_levels):
+        res = min_distance(bch_31_11(), 4)
+        assert (res.max_independence_order, res.lower) == (4, 3)
+        assert searched_levels == [3, 4]
+
+    def test_steane_starts_at_three(self, steane, searched_levels):
+        res = min_distance(steane, t=1)
+        assert searched_levels == [3]
+        assert pauli_to_string(res.witness) == "XXXIIII"
+
+    def test_bitflip_starts_at_one(self, bitflip3, searched_levels):
+        res = min_distance(bitflip3, t=1)
+        assert searched_levels == [1]
+        assert pauli_to_string(res.witness) == "ZII"
+
+    def test_budget_stop_starts_at_the_verified_floor(self, searched_levels):
+        # 50 visits verify no column order, so every level up to 5 runs
+        res = min_distance(bch_31_11(), 5, t=2, budget=50)
+        assert res.budget_exhausted and res.lower == 1
+        assert searched_levels == [1, 2, 3, 4, 5]
+        assert pauli_to_string(res.witness) == BCH_WITNESS
+
+
+class TestSkippedLevelsAreEmpty:
+    def test_no_logical_below_the_lower_bound(self):
+        for code, t in _skip_cases():
+            lower = min_distance(code, 0, t=t).lower
+            assert lower > 1, (generator_strings(code), t)
+            for w in range(1, lower):
+                assert distance._first_logical(code, w) is None
+            if code.n > 15:
+                continue
+            res = min_distance(code, t=t)
+            naive = oracles.first_logical_colex(generator_strings(code), code.n)
+            assert pauli_to_string(res.witness) == naive
+            assert res.d == oracles.weight(naive)
+
+    def test_bch_witnesses_past_the_skip(self):
+        bch = bch_31_11()
+        for t in (None, 1):  # t=2: TestSearchedLevels
+            res = min_distance(bch, 5, t=t)
+            assert pauli_to_string(res.witness) == BCH_WITNESS
+        twisted = _twisted_bch()
+        res = min_distance(twisted, 5, t=1)
+        assert res.d == 5
+        assert syndrome_direct(twisted, res.witness).is_zero()
+        assert not twisted.in_stabilizer(res.witness)
+
+
+def _skip_cases():
+    """(code, t) pairs whose column lower bound passes 1: Steane under random
+    qubit permutations and generator row operations, the [[15,7,3]] Hamming
+    CSS code, BCH at t = None, 1 and 2, and BCH twisted by S gates."""
+    rng = random.Random(1729)
+    base = steane()
+    for _ in range(8):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+
+        def moved(mask):
+            return sum(1 << perm[q] for q in range(base.n) if mask >> q & 1)
+
+        rows = [[moved(g.x.bits), moved(g.z.bits)] for g in base.h.generators]
+        for _ in range(12):  # add row j to row i: invertible, still commuting
+            i, j = rng.sample(range(len(rows)), 2)
+            rows[i] = [rows[i][0] ^ rows[j][0], rows[i][1] ^ rows[j][1]]
+        gens = [PauliOperator.from_masks(base.n, x, z) for x, z in rows]
+        yield StabilizerCode(validate(gens)), 1
+    yield _hamming_15_7(), 1
+    bch = bch_31_11()
+    for t in (None, 1, 2):
+        yield bch, t
+    yield _twisted_bch(), 1
+
+
+def _hamming_15_7() -> StabilizerCode:
+    """[[15,7,3]] CSS code: the [15,11] Hamming checks on both sides."""
+    n = 15
+    rows = [sum(1 << (c - 1) for c in range(1, n + 1) if c >> b & 1) for b in range(4)]
+    gens = [PauliOperator.from_masks(n, r, 0) for r in rows]
+    gens += [PauliOperator.from_masks(n, 0, r) for r in rows]
+    return StabilizerCode(validate(gens))
+
+
+def _twisted_bch() -> StabilizerCode:
+    """BCH with S on qubits 0, 1 and 3 (X becomes Y there): out of CSS form,
+    with its full independence order still 4."""
+    bch = bch_31_11()
+    twist = 0b1011
+    return StabilizerCode(
+        validate(
+            [
+                PauliOperator.from_masks(bch.n, g.x.bits, g.z.bits ^ (g.x.bits & twist))
+                for g in bch.h.generators
+            ]
+        )
+    )
+
+
 def _bounds_cases():
     """(code, t) pairs: random codes, half with one or two logical qubits, and
     the fixtures at t <= 3, plus three codes at t = 1: BCH, BCH twisted by S
@@ -347,15 +476,7 @@ def _bounds_cases():
         for t in range(1, min(code.n, 3) + 1):
             yield code, t
     bch = bch_31_11()
-    twist = 0b1011  # S on qubits 0, 1 and 3 maps X to Y there
-    twisted = StabilizerCode(
-        validate(
-            [
-                PauliOperator.from_masks(bch.n, g.x.bits, g.z.bits ^ (g.x.bits & twist))
-                for g in bch.h.generators
-            ]
-        )
-    )
+    twisted = _twisted_bch()
     assert css_split(twisted) is None
     yield bch, 1
     yield twisted, 1
