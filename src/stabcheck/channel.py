@@ -119,9 +119,9 @@ class DecoderTable:
 
 
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
-# table, 2**20 entries, peaks at 130 MB RSS, 40 MB of it the interpreter and
+# table, 2**20 entries, peaks at 129 MB RSS, 40 MB of it the interpreter and
 # numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z words, class
-# key).  Reading its dict view brings the peak to 247 MB, so 2**22 entries
+# key).  Reading its dict view brings the peak to 246 MB, so 2**22 entries
 # stay near 1 GB even then.
 _MAX_TABLE_ENTRIES = 1 << 22
 
@@ -256,6 +256,8 @@ def wilson_interval(
     """Wilson score interval for a binomial proportion (default 95%)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures {failures} outside 0..{trials}")
     phat = failures / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -295,11 +297,11 @@ def _run_range(
     keys, last = claims.syndromes, len(claims) - 1
     failures = 0
     for a in range(start, stop, _CHUNK):
-        letters = _sample_letters(channel, n, seed, a, min(a + _CHUNK, stop))
-        syn = _xor_gather(syndromes, qubits, letters)
+        at = 4 * qubits + _sample_letters(channel, n, seed, a, min(a + _CHUNK, stop))
+        syn = _xor_gather(syndromes, at)
         row = np.minimum(np.searchsorted(keys, syn), last)
         # strict: the error is its claimant; else: they share a class
-        same = kept[claims.claimant[row]] == _xor_gather(residues, qubits, letters)
+        same = kept[claims.claimant[row]] == _xor_gather(residues, at)
         ok = (keys[row] == syn) & (same.all(axis=1) if strict else same)
         failures += len(ok) - int(np.count_nonzero(ok))
     return failures

@@ -12,13 +12,19 @@ linear independence of check-matrix columns instead.  The fill also gives
 each claimant its logical class key, its symplectic products with 2k
 logical operators: two errors with one syndrome differ by a stabilizer
 exactly when their class keys agree.
+
+A syndrome is the sum of the check-matrix columns its error picks, so a
+syndrome, the x and z masks of an error and its class key are each one XOR
+of per-qubit keys of its letters: `_error_chunks` lists the errors in
+chunks, as flat indices into those per-qubit tables, and `_xor_gather`
+gathers any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterator, Mapping
 
@@ -76,7 +82,8 @@ class ErrorEnumerator:
 
     Weight levels ascending; within a level, supports in lexicographic order
     and letter patterns in lexicographic order over X < Y < Z: the order of
-    the syndrome fill, whose chunks it expands.
+    the syndrome fill.  It gathers the masks of the fill's chunks
+    (`_error_chunks`) from the per-qubit letter masks.
     """
 
     n: int
@@ -88,10 +95,8 @@ class ErrorEnumerator:
 
     def __iter__(self) -> Iterator[PauliOperator]:
         letter_masks = _letter_masks(self.n)
-        for _, chunk in _error_chunks(self.n, self.t):
-            every = np.arange(len(chunk[0]) * len(chunk[2]))
-            masks = _xor_gather(letter_masks, *_chunk_errors(chunk, every))
-            for x, z in _mask_ints(masks):
+        for _, idx in _error_chunks(self.n, self.t):
+            for x, z in _mask_ints(_xor_gather(letter_masks, idx)):
                 yield PauliOperator.from_masks(self.n, x, z)
 
     def __len__(self) -> int:
@@ -120,14 +125,10 @@ def alt_error_count(n: int, t: int) -> int:
     return total
 
 
-# Errors evaluated per chunk of a weight level by the fill, and the trailing
-# letters that index a chunk's columns: 3**8 columns fit a chunk.
+# Errors per chunk of a weight level (`_error_chunks`).
 _FILL_CHUNK = 1 << 14
-_TAIL_LETTERS = 8
 
 Masks = tuple[int, int]
-# A chunk: the supports, leading letters and trailing letters of its errors.
-Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +189,14 @@ def fill_syndrome_map(
     """Syndrome -> error map of the errors of weight 1..max_weight.
 
     The identity claims the zero syndrome; every other syndrome is kept by
-    the first error in enumeration order that produces it.  Each chunk of a
-    weight level is evaluated as an array of syndromes (int64, or Python
-    ints in an object array past 62 bits), XOR-gathered from the per-qubit
-    letter syndromes; `np.unique` gives their first occurrences, those not
-    in the sorted array of claimed keys are claimed in order, and only at
-    their positions are masks and class keys gathered.  The fill stops
-    before the next chunk once the map is full (if `full`) and an error has
-    collided (if `collision`).
+    the first error in enumeration order that produces it.  The syndromes of
+    a chunk of `_error_chunks` (int64, or Python ints in an object array
+    past 62 bits) are XOR-gathered from the per-qubit letter syndromes by its
+    index; `np.unique` gives their first occurrences, those not in the sorted
+    array of claimed keys are claimed in order, and only the index rows of
+    the claimants gather masks and class keys.  The fill stops after the
+    chunk in which the map is full (if `full`) and an error has collided (if
+    `collision`).
 
     Returns (map, last weight evaluated, first collision or None, syndromes
     claimed before it or None).
@@ -214,11 +215,9 @@ def fill_syndrome_map(
         np.zeros(1, dtype=letter_classes.dtype),
     )
     reached, clash, claimed_before = 0, None, None
-    for w, chunk in _error_chunks(n, max_weight):
-        if (not full or size == total) and (not collision or clash is not None):
-            break
+    for w, idx in _error_chunks(n, max_weight):
         reached = w
-        syn = _chunk_syndromes(letters, chunk)
+        syn = _xor_gather(letters, idx)
         values, first = np.unique(syn, return_index=True)
         keys = claimed[:size]
         at = np.searchsorted(keys, values)
@@ -229,7 +228,7 @@ def fill_syndrome_map(
             claimed = _merge_sorted(claimed, size, values, at, total)
             order = np.argsort(first)
             first = first[order]
-            new = (values[order], *_claims(chunk, first, letter_masks, letter_classes))
+            new = (values[order], *_claims(idx[first], letter_masks, letter_classes))
             claims_by_order = tuple(
                 _reserve(buf, size, end, total) for buf in claims_by_order
             )
@@ -239,10 +238,13 @@ def fill_syndrome_map(
             # claims come first in the chunk up to its first collision
             pos = int(np.count_nonzero(first == np.arange(len(first))))
             if pos < len(syn):
-                error = _claims(chunk, np.array([pos]), letter_masks, letter_classes)
+                error = _claims(idx[pos : pos + 1], letter_masks, letter_classes)
                 clash = (syn[pos], error)
                 claimed_before = size - 1 + pos
         size = end
+        if (not full or size == total) and (not collision or clash is not None):
+            break
+    idx = syn = None  # the last chunk's arrays, freed before the copies
     # trimmed copies: the spare rows of a grown buffer may be resident
     syn, masks, classes = (buf[:size].copy() for buf in claims_by_order)
     claimant = np.argsort(syn)
@@ -344,69 +346,50 @@ def _letter_classes(code: StabilizerCode) -> np.ndarray:
     return np.array(rows, dtype=_key_dtype(2 * code.k))
 
 
-def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, Chunk]]:
-    """(w, chunk) for each chunk of the weight 1..max_weight errors, in
-    enumeration order: the last h letters of each error index the chunk's
-    columns (tails), and a row is a support with the letters before them
-    (heads, none while 3**w fits)."""
+def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(w, idx) for each chunk of the weight 1..max_weight errors, in
+    enumeration order.  Row e of idx holds 3*q + a for each qubit q of error
+    e, ascending, with its letter a (0, 1, 2 for X, Y, Z); each column is
+    contiguous.
+
+    A chunk is a run of supports, each crossed with the same run of letter
+    patterns: all 3**w patterns, for as many supports as fit `_FILL_CHUNK`,
+    or else a slice of at most `_FILL_CHUNK` patterns of one support.  The
+    letters of pattern p are the base-3 digits of p, the first letter most
+    significant.
+    """
     for w in range(1, max_weight + 1):
-        h = min(w, _TAIL_LETTERS)
-        tails = np.array(list(product(range(3), repeat=h)), dtype=np.intp)
-        rows = (
-            support + head
-            for support in combinations(range(n), w)
-            for head in product(range(3), repeat=w - h)
-        )
+        patterns = 3**w
+        place = 3 ** np.arange(w - 1, -1, -1, dtype=np.intp)[:, None]
+        supports = combinations(range(n), w)
         while True:
             block = np.fromiter(
-                chain.from_iterable(islice(rows, max(1, _FILL_CHUNK // len(tails)))),
+                chain.from_iterable(islice(supports, max(1, _FILL_CHUNK // patterns))),
                 dtype=np.intp,
-            ).reshape(-1, 2 * w - h)
+            ).reshape(-1, w)
             if not len(block):
                 break
-            yield w, (block[:, :w], block[:, w:], tails)
-
-
-def _chunk_syndromes(letters: np.ndarray, chunk: Chunk) -> np.ndarray:
-    """Syndromes of a chunk, flat in enumeration order: row-major over
-    (support and leading letters) x (trailing letters)."""
-    supports, heads, tails = chunk
-    lead = heads.shape[1]
-    row = np.zeros(len(supports), dtype=letters.dtype)
-    for j in range(lead):
-        row ^= letters[supports[:, j], heads[:, j]]
-    syn = np.repeat(row[:, None], len(tails), axis=1)
-    for j in range(tails.shape[1]):
-        syn ^= letters[supports[:, lead + j, None], tails[:, j]]
-    return syn.ravel()
+            for p in range(0, patterns, _FILL_CHUNK):
+                numbers = np.arange(p, min(p + _FILL_CHUNK, patterns), dtype=np.intp)
+                digits = numbers // place % 3
+                yield w, (3 * block.T[:, :, None] + digits[:, None]).reshape(w, -1).T
 
 
 def _claims(
-    chunk: Chunk, at: np.ndarray, masks: np.ndarray, classes: np.ndarray
+    idx: np.ndarray, masks: np.ndarray, classes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masks and class keys of the chunk's errors at flat positions `at`."""
-    qubits, letters = _chunk_errors(chunk, at)
-    return _xor_gather(masks, qubits, letters), _xor_gather(classes, qubits, letters)
+    """Masks and class keys of the errors of the rows of idx."""
+    return _xor_gather(masks, idx), _xor_gather(classes, idx)
 
 
-def _chunk_errors(chunk: Chunk, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Supports and letters (0, 1, 2 for X, Y, Z) of the chunk's errors at
-    flat positions `at`, one error per row."""
-    supports, heads, tails = chunk
-    r, c = np.divmod(at, len(tails))
-    return supports[r], np.hstack((heads[r], tails[c]))
-
-
-def _xor_gather(
-    keys: np.ndarray, qubits: np.ndarray, letters: np.ndarray
-) -> np.ndarray:
-    """Key of each error: the XOR over its qubits q and letters a of
-    keys[q, a], one error per row of `letters` (`qubits` broadcasts).
+def _xor_gather(keys: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Key of each error, one error per row of `at`: the XOR of keys[q, a]
+    over its entries q * keys.shape[1] + a, one for each of its qubits q
+    with that qubit's letter a.
 
     Each trailing axis entry of `keys` (a mask word) is gathered on its own:
     1-D gathers run several times faster than gathers of rows.
     """
-    at = qubits * keys.shape[1] + letters
     columns = keys.reshape(keys.shape[0] * keys.shape[1], -1).T
     out = np.empty((len(columns), len(at)), dtype=keys.dtype)
     for k, column in enumerate(columns):
@@ -644,7 +627,7 @@ def standard_form_shortcut(sf: StandardForm, t: int) -> CriterionOutcome:
     Z-type error, so the code is proven degenerate.  Anything else is
     inconclusive.
     """
-    if t < 1:
+    if not 1 <= t <= sf.n:
         raise ValueError(f"t={t} outside 1..{sf.n}")
     if sf.r != sf.n - sf.k:
         return CriterionOutcome.INCONCLUSIVE

@@ -50,14 +50,15 @@ def syndrome_calls(monkeypatch):
 def fill_chunks(monkeypatch):
     """(weight, errors) of each chunk the syndrome fill evaluates, in order."""
     chunks = []
-    inner = degeneracy._chunk_syndromes
+    inner = degeneracy._error_chunks
 
-    def counted(letters, chunk):
-        syn = inner(letters, chunk)
-        chunks.append((chunk[0].shape[1], syn.size))
-        return syn
+    def counted(n, max_weight):
+        # the fill evaluates every chunk it draws
+        for w, idx in inner(n, max_weight):
+            chunks.append((w, len(idx)))
+            yield w, idx
 
-    monkeypatch.setattr(degeneracy, "_chunk_syndromes", counted)
+    monkeypatch.setattr(degeneracy, "_error_chunks", counted)
     return chunks
 
 

@@ -90,13 +90,13 @@ class TestDecoderTable:
 
     @pytest.mark.parametrize(
         "maker,chunks,evaluated,max_weight",
-        [("steane", 20, 138, 2), ("shor", 106, 1998, 3), ("bitflip3", 3, 9, 1)],
+        [("steane", 137, 137, 2), ("shor", 1976, 1976, 3), ("bitflip3", 7, 7, 1)],
     )
     def test_fill_stops_in_the_chunk_that_fills(
         self, request, fill_chunks, monkeypatch, maker, chunks, evaluated, max_weight
     ):
-        # one support per chunk: the fill ends with the support whose error
-        # claims the last free syndrome, and no level past it is evaluated
+        # one error per chunk: the fill ends with the error that claims the
+        # last free syndrome, and no level past it is evaluated
         monkeypatch.setattr(degeneracy, "_FILL_CHUNK", 1)
         code = request.getfixturevalue(maker)
         t = build_table(code)
@@ -106,7 +106,7 @@ class TestDecoderTable:
         assert max(w for w, _ in fill_chunks) == max_weight
         last_w, last_size = fill_chunks[-1]
         _, _, filled_at, _ = oracles.claim_syndromes(generator_strings(code), max_weight)
-        assert (last_w, last_size) == (max_weight, 3**max_weight)
+        assert (last_w, last_size) == (max_weight, 1)
         assert evaluated - last_size < filled_at <= evaluated
 
     def test_capped_fill_evaluates_no_further_level(self, steane, fill_chunks):
@@ -133,10 +133,10 @@ class TestDecoderTable:
         code = repetition_code(63)
         letters = degeneracy._letter_syndromes(code)
         assert letters.dtype == np.int64
-        supports = np.array([[0, 61, 62]], dtype=np.intp)
-        heads = np.array([[1]], dtype=np.intp)
-        tails = np.array([[0, 0], [2, 1]], dtype=np.intp)
-        syn = degeneracy._chunk_syndromes(letters, (supports, heads, tails))
+        for _, idx in degeneracy._error_chunks(63, 2):
+            assert idx.dtype == np.intp
+        idx = np.array([[1, 183, 186], [1, 185, 187]], dtype=np.intp)  # 3q + letter
+        syn = degeneracy._xor_gather(letters, idx)
         assert syn.dtype == np.int64
         # Y0 X61 X62 sets bits 0 and 60 (61 cancels); Y0 Z61 Y62 bits 0 and 61
         assert syn.tolist() == [1 | 1 << 60, 1 | 1 << 61]
@@ -169,7 +169,8 @@ class TestDecoderTable:
             letters = _sample_letters(ch, n, 3, 0, 50)
             assert letters.dtype.kind == "i"
             assert set(np.unique(letters).tolist()) == {0, 1, 2, 3}
-            qubits = np.arange(n)
+            at = 4 * np.arange(n) + letters
+            assert at.dtype == np.intp
             for keys, dtype in (
                 (degeneracy._letter_syndromes(code), syn_dtype),
                 (degeneracy._letter_classes(code), cls_dtype),
@@ -177,17 +178,17 @@ class TestDecoderTable:
             ):
                 keys = _with_identity(keys)
                 assert keys.dtype == dtype
-                assert gather(keys, qubits, letters).dtype == dtype
+                assert gather(keys, at).dtype == dtype
         # the widest int64 keys and the top mask bit survive the gather
         code = repetition_code(63)
         letters = np.full((1, 63), 3)
         letters[0, 61:] = 0  # X on the last two qubits
         syndromes = _with_identity(degeneracy._letter_syndromes(code))
-        assert gather(syndromes, np.arange(63), letters).tolist() == [1 << 60]
+        assert gather(syndromes, 4 * np.arange(63) + letters).tolist() == [1 << 60]
         masks = _with_identity(degeneracy._letter_masks(64))
         letters = np.full((1, 64), 3)
         letters[0, 63] = 1  # Y on the last qubit
-        assert gather(masks, np.arange(64), letters).tolist() == [[1 << 63] * 2]
+        assert gather(masks, 4 * np.arange(64) + letters).tolist() == [[1 << 63] * 2]
 
     def test_dict_view_of_bch_weight_three_table(self):
         code = bch_31_11()
@@ -240,13 +241,33 @@ class TestFillAgainstLoop:
                 if max_weight is None or max_weight <= code.n:
                     self.assert_same(code, max_weight)
 
-    @pytest.mark.parametrize("tail,chunk", [(0, 1), (1, 1), (1, 5), (2, 7)])
-    def test_leading_letters_in_rows(self, shor, monkeypatch, tail, chunk):
-        # levels wider than _TAIL_LETTERS put their leading letters in the rows
-        monkeypatch.setattr(degeneracy, "_TAIL_LETTERS", tail)
+    @pytest.mark.parametrize("seed,chunk", [(0, 1), (1, 1), (1, 5), (2, 7)])
+    def test_leading_letters_in_rows(self, shor, monkeypatch, seed, chunk):
+        # chunks of fewer errors than a support has letter patterns: each
+        # chunk is a slice of one support's patterns, its leading letters
+        # fixed
         monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
-        for code in [shor, *draw_codes(20, 6, seed=9, css_share=0.3)]:
+        for code in [shor, *draw_codes(20, 6, seed=seed, css_share=0.3)]:
             self.assert_same(code, None)
+
+    def test_sliced_level_at_the_shipped_chunk_size(self, fill_chunks):
+        # the [[9,0]] state with Z on each qubit fills its table at weight 9,
+        # where one support's 3**9 letter patterns pass _FILL_CHUNK
+        code = StabilizerCode.from_strings(
+            *("I" * q + "Z" + "I" * (8 - q) for q in range(9))
+        )
+        chunk = degeneracy._FILL_CHUNK
+        assert 3**9 > chunk
+        self.assert_same(code, None)
+        assert fill_chunks[-1] == (9, chunk)
+        t = build_table(code)
+        assert (t.max_weight, t.covered) == (9, 512)
+        # the map fills in the first slice; both slices list the level
+        level = [idx for w, idx in degeneracy._error_chunks(9, 9) if w == 9]
+        assert [len(idx) for idx in level] == [chunk, 3**9 - chunk]
+        letters = np.concatenate(level) % 3
+        strings = ["".join("XYZ"[a] for a in row) for row in letters.tolist()]
+        assert strings == list(oracles.weight_level(9, 9))
 
     def test_wide_weight_one_table(self):
         self.assert_same(random_code(70, 10, random.Random(70)), 1)
@@ -415,6 +436,12 @@ class TestWilson:
     def test_requires_trials(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("failures,trials", [(5, 3), (-1, 10)])
+    def test_failures_outside_the_trials_rejected(self, failures, trials):
+        match = f"failures {failures} outside 0..{trials}"
+        with pytest.raises(ValueError, match=match):
+            wilson_interval(failures, trials)
 
     def test_brackets_the_rate(self):
         for failures, trials in [(0, 50), (1, 50), (25, 50), (50, 50), (3, 1000)]:

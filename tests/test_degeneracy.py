@@ -58,14 +58,19 @@ class TestEnumeration:
         ]
         assert lib == list(oracles.errors_up_to(4, 2))
 
-    @pytest.mark.parametrize("tail,chunk", [(None, None), (0, 1), (1, 7)])
-    def test_multiword_masks_match_oracle_strings(self, monkeypatch, tail, chunk):
-        # 70 qubits: each mask spans two 64-bit words of the packed rows
-        if tail is not None:
-            monkeypatch.setattr(degeneracy, "_TAIL_LETTERS", tail)
+    @pytest.mark.parametrize("whole,chunk", [(None, None), (0, 1), (1, 7)])
+    def test_multiword_masks_match_oracle_strings(self, monkeypatch, whole, chunk):
+        # 70 qubits: each mask spans two 64-bit words of the packed rows.  A
+        # chunk of `chunk` errors holds a support's letter patterns whole up
+        # to level `whole` and slices those of the level above, which is
+        # enumerated too.
+        t = 1
+        if chunk is not None:
+            assert 3**whole <= chunk < 3 ** (whole + 1)
             monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
-        lib = [pauli_to_string(p) for p in enumerate_errors(70, 1)]
-        assert lib == list(oracles.errors_up_to(70, 1))
+            t = whole + 1
+        lib = [pauli_to_string(p) for p in enumerate_errors(70, t)]
+        assert lib == list(oracles.errors_up_to(70, t))
 
     @pytest.mark.parametrize("n,t", [(1, 1), (3, 2), (5, 3), (6, 1)])
     def test_count_formula(self, n, t):
@@ -179,9 +184,9 @@ class TestClassifyAgainstOracle:
 class TestFullMapStop:
     """Exhaustive classify stops once all 2^(n-k) syndromes are claimed.
 
-    With one support per chunk, the fill ends with the chunk that holds the
-    error at which the one-error-at-a-time loop stopped: the later of the
-    error that claims the last free syndrome and the first collision.
+    With one error per chunk, the fill ends with the error at which the
+    one-error-at-a-time loop stopped: the later of the error that claims the
+    last free syndrome and the first collision.
     """
 
     @staticmethod
@@ -193,7 +198,7 @@ class TestFullMapStop:
         assert len(fill_chunks) == chunks
         assert sum(size for _, size in fill_chunks) == evaluated
         w, size = fill_chunks[-1]
-        assert size == 3**w
+        assert size == 1
         assert evaluated - size < stop <= evaluated
 
     def test_steane_t2_stops_when_full(
@@ -202,8 +207,8 @@ class TestFullMapStop:
         monkeypatch.setattr(degeneracy, "_FILL_CHUNK", 1)
         r = classify(steane, 2, exhaustive=True)
         assert syndrome_calls == []
-        # the loop stopped at error 137 of 210, the fill evaluates 138
-        self.assert_stops_with(steane, 2, fill_chunks, 20, 138, 137)
+        # the loop stopped at error 137 of 210, and so does the fill
+        self.assert_stops_with(steane, 2, fill_chunks, 137, 137, 137)
         assert (r.syndrome_count, r.collision_count) == (63, 210 - 63)
 
     def test_five_qubit_t2_stops_after_the_witness(
@@ -214,7 +219,7 @@ class TestFullMapStop:
         monkeypatch.setattr(degeneracy, "_FILL_CHUNK", 1)
         r = classify(five_qubit, 2, exhaustive=True)
         assert syndrome_calls == []
-        self.assert_stops_with(five_qubit, 2, fill_chunks, 6, 24, 16)
+        self.assert_stops_with(five_qubit, 2, fill_chunks, 16, 16, 16)
         assert (r.syndrome_count, r.collision_count) == (15, 105 - 15)
         assert pauli_to_string(r.witness.second) == "XXIII"
 
@@ -279,9 +284,10 @@ def assert_matches_claims(code, t, exhaustive, claims, span=True):
 class TestFirstCollision:
     """Early-exit classify stops in the chunk that holds the first collision."""
 
-    # chunk and tail sizes that put first collisions at the start, inside and
-    # at the end of a chunk, against claimants of the same or an earlier chunk
-    PATCHES = [(None, None), (1, 0), (7, 0), (1, 1), (7, 1)]
+    # chunk sizes that put first collisions at the start, inside and at the
+    # end of a chunk, against claimants of the same or an earlier chunk; all
+    # but the default slice some support's letter patterns
+    PATCHES = [None, 1, 2, 5, 7, 13]
 
     def test_random_codes_against_oracle(self, monkeypatch, fill_chunks):
         codes = [steane(), shor(), five_qubit(), three_qubit_bit_flip()]
@@ -293,10 +299,9 @@ class TestFirstCollision:
             for t in range(1, min(3, code.n) + 1):
                 cases.append((code, t, oracles.claim_syndromes(gens, t), errors))
         kinds = set()
-        for chunk, tail in self.PATCHES:
+        for chunk in self.PATCHES:
             if chunk is not None:
                 monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
-                monkeypatch.setattr(degeneracy, "_TAIL_LETTERS", tail)
             for i, (code, t, claims, errors) in enumerate(cases):
                 fill_chunks.clear()
                 r, before = assert_matches_claims(code, t, False, claims)
@@ -305,7 +310,7 @@ class TestFirstCollision:
                 size = fill_chunks[-1][1]
                 start = sum(s for _, s in fill_chunks) - size
                 at = before - start  # the collision's place in its chunk
-                assert 0 <= at < size, (chunk, tail, i)
+                assert 0 <= at < size, (chunk, i)
                 claimant = pauli_to_string(r.witness.first)
                 # the identity is claimed before any chunk
                 same = claimant != "I" * code.n and errors.index(claimant) >= start
@@ -465,6 +470,11 @@ class TestColumnCriteria:
         sf = standard_form(code)
         assert standard_form_shortcut(sf, 1) is CriterionOutcome.PROVEN_DEGENERATE
         assert classify(code, 1).verdict is Verdict.DEGENERATE
+
+    @pytest.mark.parametrize("t", [0, 8, 99])
+    def test_shortcut_rejects_t_outside_range(self, steane, t):
+        with pytest.raises(ValueError, match=f"t={t} outside 1..7"):
+            standard_form_shortcut(standard_form(steane), t)
 
     def test_shortcut_inconclusive_when_x_rank_deficient(self, shor):
         assert standard_form_shortcut(standard_form(shor), 1) is CriterionOutcome.INCONCLUSIVE
