@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 unreadable or invalid input, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,6 +65,10 @@ def entry() -> None:
     sys.exit(main())
 
 
+# Built once per process: parse_args fills a fresh Namespace on every call,
+# no default is mutable, help reads COLUMNS when it formats, and the handlers
+# look up the library functions as module globals when they run.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabcheck",
@@ -341,9 +346,12 @@ def _worker_count(args: argparse.Namespace) -> int:
     if raw is None:
         return 1
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV}={raw!r} must be >= 1")
+    return workers
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[Payload, Lines, int]:

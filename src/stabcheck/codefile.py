@@ -17,8 +17,9 @@ binary_matrix
     halves.  Blank lines, comments and directives work as above.
 
 Parse errors raise CodeFileError with 1-based line (and column when it
-points at a specific character).  Validation failures (non-commuting or
-dependent generators, mixed lengths) propagate unchanged from validate().
+points at a specific character); a file longer than MAX_CODE_FILE_CHARS is
+refused whole.  Validation failures (non-commuting or dependent generators,
+mixed lengths) propagate unchanged from validate().
 """
 
 from __future__ import annotations
@@ -46,13 +47,25 @@ _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)\s+rows\s*=\s*(\d+)$")
 _DIRECTIVE_RE = re.compile(r"^(label|distance)\s*:\s*(.*)$")
 _DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: str.isdigit accepts "²"
 
+# Longest file read, in characters (bytes for ASCII).  Far above any code
+# validate finishes on: a 16 MB file (a 4,000-qubit chain of ZZ checks)
+# already takes about 34 s, and time grows faster than size.  The cap only
+# stops a device such as /dev/zero from being read until memory runs out.
+MAX_CODE_FILE_CHARS = 64 * 2**20
+
 
 class CodeFileError(ValueError):
-    """Parse failure with file position; column is 1-based or None."""
+    """Parse failure with file position; line and column are 1-based or None.
 
-    def __init__(self, message: str, line: int, column: int | None = None):
-        at = f"line {line}" if column is None else f"line {line}, char {column}"
-        super().__init__(f"{at}: {message}")
+    line is None only for a failure of the whole file (one past the size cap).
+    """
+
+    def __init__(self, message: str, line: int | None, column: int | None = None):
+        if line is None:
+            super().__init__(message)
+        else:
+            at = f"line {line}" if column is None else f"line {line}, char {column}"
+            super().__init__(f"{at}: {message}")
         self.line = line
         self.column = column
 
@@ -83,7 +96,12 @@ def parse_code_file(path: str | Path) -> StabilizerCode:
 
 def read_code_file(path: str | Path) -> CodeFile:
     """Parse a code file into a CodeFile without running validation."""
-    text = Path(path).read_text()
+    with open(path) as f:
+        text = f.read(MAX_CODE_FILE_CHARS + 1)
+    if len(text) > MAX_CODE_FILE_CHARS:
+        raise CodeFileError(
+            f"file is longer than {MAX_CODE_FILE_CHARS} characters", None
+        )
     lines = text.splitlines()
 
     label: str | None = None

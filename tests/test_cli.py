@@ -390,6 +390,25 @@ class TestSimulate:
         assert rc == 2
         assert "not an integer" in err
 
+    @pytest.mark.parametrize(
+        "env,flags,message",
+        [
+            ("0", (), f"{cli.WORKERS_ENV}='0' must be >= 1"),
+            ("-2", (), f"{cli.WORKERS_ENV}='-2' must be >= 1"),
+            ("2", ("--workers", "0"), "workers must be >= 1"),
+        ],
+    )
+    def test_workers_below_one_names_the_input(
+        self, capsys, monkeypatch, env, flags, message
+    ):
+        monkeypatch.setenv(cli.WORKERS_ENV, env)
+        rc, out, err = run(
+            capsys, "simulate", "--code", STEANE, "--depolarizing", "0.05", *flags
+        )
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_workers_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "garbage")
         rc, _, _ = run(
@@ -448,6 +467,14 @@ class TestInputErrors:
         assert "distance must be a positive integer" in err
         assert out == ""
 
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+    def test_endless_file_exits_2(self, capsys):
+        rc, out, err = run(capsys, "validate", "--code", "/dev/zero")
+        assert rc == 2
+        assert err.startswith("error: file is longer than")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_oversized_decoder_table_exits_2(self, capsys, tmp_path):
         # 32 generators: up to 2**32 table entries, refused before the fill
         p = tmp_path / "rep33.stab"
@@ -459,6 +486,61 @@ class TestInputErrors:
         assert rc == 2
         assert err.startswith("error: decoder table could hold")
         assert out == ""
+
+
+def call(capsys, *argv: str) -> tuple[int, str, str]:
+    """Like run, but an argparse exit (--help, --version, a usage error)
+    returns its status instead of raising SystemExit."""
+    try:
+        rc = cli.main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestParserReuse:
+    # each request after one that set the flags it leaves out
+    SEQUENCE = [
+        ("classify", "--code", STEANE, "--t", "2", "--budget", "5", "--json"),
+        ("classify", "--code", STEANE, "--t", "1", "--json"),
+        ("distance", "--code", STEANE, "--limit", "2", "--t", "1", "--json"),
+        ("distance", "--code", STEANE, "--json"),
+        (
+            "simulate", "--code", STEANE, "--depolarizing", "0.05",
+            "--seed", "9", "--workers", "1", "--json",
+        ),
+        ("simulate", "--code", STEANE, "--depolarizing", "0.05", "--json"),
+        ("validate", "--json"),  # usage error: --code missing
+        ("validate", "--code", STEANE, "--json"),
+        ("--version",),
+        ("validate", "--code", STEANE, "--json"),
+    ]
+
+    def test_outputs_match_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(call(capsys, *argv))
+        cli._build_parser.cache_clear()
+        shared = [call(capsys, *argv) for argv in self.SEQUENCE]
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared] == [3, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_help_follows_columns(self, capsys, monkeypatch):
+        cli._build_parser.cache_clear()
+        outs = []
+        for columns in ("50", "150", "50"):
+            monkeypatch.setenv("COLUMNS", columns)
+            rc, out, _ = call(capsys, "simulate", "--help")
+            assert rc == 0
+            outs.append(out)
+        narrow, wide, narrow_again = outs
+        assert narrow == narrow_again != wide
+        assert max(len(line) for line in narrow.splitlines()) <= 50
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestEntryPoints:

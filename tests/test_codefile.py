@@ -6,6 +6,7 @@ import pytest
 
 import stabcheck as sc
 from conftest import FIXTURES_DIR, generator_strings
+from stabcheck import codefile
 from stabcheck import (
     BINARY_MATRIX,
     PAULI_STRINGS,
@@ -184,6 +185,14 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_code_file(tmp_path / "absent.stab")
+
+    def test_size_cap(self, tmp_path, monkeypatch):
+        text = "# label: rep3\nZZI\nIZZ\n"
+        monkeypatch.setattr(codefile, "MAX_CODE_FILE_CHARS", len(text))
+        assert read_code_file(write(tmp_path, text)).n == 3
+        with pytest.raises(CodeFileError, match="longer than") as exc:
+            read_code_file(write(tmp_path, text + "\n"))
+        assert exc.value.line is None
 
 
 class TestValidationPassThrough:
