@@ -16,7 +16,7 @@ in numpy too: each trial's letter indices come straight from its uniforms,
 its syndrome and logical class key are XOR-gathered from the per-qubit
 letter keys that the table's fill used, `searchsorted` finds the claimant
 of its syndrome, and the trial fails when the syndrome is uncovered or the
-class keys differ (in strict mode: when the masks differ).
+class keys differ (in strict mode: when the x or z mask keys differ).
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class DecoderTable:
 
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
 # table, 2**20 entries, peaks at 129 MB RSS, 40 MB of it the interpreter and
-# numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z words, class
-# key).  Reading its dict view brings the peak to 246 MB, so 2**22 entries
+# numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z mask keys,
+# class key).  Reading its dict view brings the peak to 246 MB, so 2**22 entries
 # stay near 1 GB even then.
 _MAX_TABLE_ENTRIES = 1 << 22
 
@@ -292,17 +292,22 @@ def _run_range(
     n = code.n
     qubits = np.arange(n)
     syndromes = _with_identity(claims.letter_syndromes)
-    residues = _with_identity(_letter_masks(n) if strict else claims.letter_classes)
-    kept = claims.masks if strict else claims.classes
+    # strict: the error is its claimant (same x and z); else: they share a class
+    if strict:
+        letter_keys, kept = _letter_masks(n), (claims.x, claims.z)
+    else:
+        letter_keys, kept = (claims.letter_classes,), (claims.classes,)
+    residues = [_with_identity(table) for table in letter_keys]
     keys, last = claims.syndromes, len(claims) - 1
     failures = 0
     for a in range(start, stop, _CHUNK):
         at = 4 * qubits + _sample_letters(channel, n, seed, a, min(a + _CHUNK, stop))
         syn = _xor_gather(syndromes, at)
         row = np.minimum(np.searchsorted(keys, syn), last)
-        # strict: the error is its claimant; else: they share a class
-        same = kept[claims.claimant[row]] == _xor_gather(residues, at)
-        ok = (keys[row] == syn) & (same.all(axis=1) if strict else same)
+        claimant = claims.claimant[row]
+        ok = keys[row] == syn
+        for letters, claimed in zip(residues, kept):
+            ok &= claimed[claimant] == _xor_gather(letters, at)
         failures += len(ok) - int(np.count_nonzero(ok))
     return failures
 

@@ -62,7 +62,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        try:
+            status = main()
+        finally:  # also when argparse leaves by SystemExit (--help, --version)
+            sys.stdout.flush()  # a closed reader surfaces here, not at shutdown
+    except BrokenPipeError:
+        # the reader has gone; stdout on devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 # Built once per process: parse_args fills a fresh Namespace on every call,

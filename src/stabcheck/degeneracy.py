@@ -15,8 +15,9 @@ exactly when their class keys agree.
 
 A syndrome is the sum of the check-matrix columns its error picks, so a
 syndrome, the x and z masks of an error and its class key are each one XOR
-of per-qubit keys of its letters: `_error_chunks` lists the errors in
-chunks, as flat indices into those per-qubit tables, and `_xor_gather`
+of per-qubit keys of its letters, all held alike: int64 up to 62 bits,
+Python ints in object arrays past that.  `_error_chunks` lists the errors in
+chunks, as flat indices into those (qubit, letter) tables, and `_xor_gather`
 gathers any of them.
 """
 
@@ -82,8 +83,8 @@ class ErrorEnumerator:
 
     Weight levels ascending; within a level, supports in lexicographic order
     and letter patterns in lexicographic order over X < Y < Z: the order of
-    the syndrome fill.  It gathers the masks of the fill's chunks
-    (`_error_chunks`) from the per-qubit letter masks.
+    the syndrome fill.  It gathers the x and z mask keys of the fill's
+    chunks (`_error_chunks`) from the per-qubit letter masks.
     """
 
     n: int
@@ -96,8 +97,9 @@ class ErrorEnumerator:
     def __iter__(self) -> Iterator[PauliOperator]:
         letter_masks = _letter_masks(self.n)
         for _, idx in _error_chunks(self.n, self.t):
-            for x, z in _mask_ints(_xor_gather(letter_masks, idx)):
-                yield PauliOperator.from_masks(self.n, x, z)
+            x, z = (keys.tolist() for keys in _claims(idx, letter_masks))
+            for xe, ze in zip(x, z):
+                yield PauliOperator.from_masks(self.n, xe, ze)
 
     def __len__(self) -> int:
         return error_count(self.n, self.t)
@@ -136,20 +138,20 @@ class SyndromeMap:
     """The syndrome -> error map of `fill_syndrome_map`, as arrays.
 
     `syndromes` holds the claimed syndromes in ascending order and
-    `claimant` the claim of each: its row in `masks` and `classes`, which
-    are in claim order, row 0 the identity's.  A row of `masks` is the
-    claimant's x words then its z words, little-endian uint64 with qubit j
-    at bit j % 64 of word j // 64.  Class keys are those of
+    `claimant` the claim of each: its index in `x`, `z` and `classes`,
+    which are in claim order, index 0 the identity's.  `x` and `z` are the
+    claimants' mask keys, qubit j at bit j.  Class keys are those of
     `_letter_classes`, so two errors with equal syndromes differ by a
-    stabilizer exactly when their class keys agree.  Syndromes and class
-    keys are int64, or Python ints in object arrays past 62 bits.
-    `letter_syndromes` and `letter_classes` are the per-qubit X, Y and Z
-    keys the fill gathered them from, kept for decoding.
+    stabilizer exactly when their class keys agree.  All of them are int64,
+    or Python ints in object arrays past 62 bits.  `letter_syndromes` and
+    `letter_classes` are the per-qubit X, Y and Z keys the fill gathered
+    them from, kept for decoding.
     """
 
     syndromes: np.ndarray
     claimant: np.ndarray
-    masks: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
     classes: np.ndarray
     letter_syndromes: np.ndarray
     letter_classes: np.ndarray
@@ -164,16 +166,16 @@ class SyndromeMap:
         so sharing them saves about 60 MB.  The dict is filled in blocks, so
         that the lists feeding it stay small.
         """
-        size, words = self.masks.shape[0], self.masks.shape[1] // 2
+        size = len(self)
         rank = np.empty_like(self.claimant)
         rank[self.claimant] = np.arange(size)
         shared: dict[int, int] = {}
         table: dict[int, Masks] = {}
         for a in range(0, size, _FILL_CHUNK):
-            block = self.masks[a : a + _FILL_CHUNK]
-            x = [shared.setdefault(v, v) for v in _word_ints(block[:, :words])]
-            z = [shared.setdefault(v, v) for v in _word_ints(block[:, words:])]
-            keys = self.syndromes[rank[a : a + _FILL_CHUNK]].tolist()
+            block = slice(a, a + _FILL_CHUNK)
+            x = [shared.setdefault(v, v) for v in self.x[block].tolist()]
+            z = [shared.setdefault(v, v) for v in self.z[block].tolist()]
+            keys = self.syndromes[rank[block]].tolist()
             table.update(zip(keys, zip(x, z)))
         return table
 
@@ -194,7 +196,7 @@ def fill_syndrome_map(
     past 62 bits) are XOR-gathered from the per-qubit letter syndromes by its
     index; `np.unique` gives their first occurrences, those not in the sorted
     array of claimed keys are claimed in order, and only the index rows of
-    the claimants gather masks and class keys.  The fill stops after the
+    the claimants gather mask and class keys.  The fill stops after the
     chunk in which the map is full (if `full`) and an error has collided (if
     `collision`).
 
@@ -203,16 +205,15 @@ def fill_syndrome_map(
     """
     n, total = code.n, 1 << code.num_generators
     letters = _letter_syndromes(code)
-    letter_masks = _letter_masks(n)
     letter_classes = _letter_classes(code)
+    tables = (*_letter_masks(n), letter_classes)  # x, z and class keys
     size = 1
     claimed = np.zeros(1, dtype=letters.dtype)  # claimed syndromes, sorted, in [:size]
     # the claims in claim order, in [:size], the identity's first: syndromes,
-    # masks and class keys
+    # x, z and class keys
     claims_by_order = (
         claimed.copy(),
-        np.zeros((1, letter_masks.shape[2]), dtype=np.uint64),
-        np.zeros(1, dtype=letter_classes.dtype),
+        *(np.zeros(1, dtype=keys.dtype) for keys in tables),
     )
     reached, clash, claimed_before = 0, None, None
     for w, idx in _error_chunks(n, max_weight):
@@ -228,7 +229,7 @@ def fill_syndrome_map(
             claimed = _merge_sorted(claimed, size, values, at, total)
             order = np.argsort(first)
             first = first[order]
-            new = (values[order], *_claims(idx[first], letter_masks, letter_classes))
+            new = (values[order], *_claims(idx[first], tables))
             claims_by_order = tuple(
                 _reserve(buf, size, end, total) for buf in claims_by_order
             )
@@ -238,7 +239,7 @@ def fill_syndrome_map(
             # claims come first in the chunk up to its first collision
             pos = int(np.count_nonzero(first == np.arange(len(first))))
             if pos < len(syn):
-                error = _claims(idx[pos : pos + 1], letter_masks, letter_classes)
+                error = _claims(idx[pos : pos + 1], tables)
                 clash = (syn[pos], error)
                 claimed_before = size - 1 + pos
         size = end
@@ -246,18 +247,18 @@ def fill_syndrome_map(
             break
     idx = syn = None  # the last chunk's arrays, freed before the copies
     # trimmed copies: the spare rows of a grown buffer may be resident
-    syn, masks, classes = (buf[:size].copy() for buf in claims_by_order)
+    syn, x, z, classes = (buf[:size].copy() for buf in claims_by_order)
     claimant = np.argsort(syn)
     claims = SyndromeMap(
-        claimed[:size].copy(), claimant, masks, classes, letters, letter_classes
+        claimed[:size].copy(), claimant, x, z, classes, letters, letter_classes
     )
     first_collision = None
     if clash is not None:
-        s, (error_masks, error_class) = clash
+        s, (ex, ez, error_class) = clash
         row = claimant[np.searchsorted(claims.syndromes, s)]
         first_collision = (
-            _mask_ints(masks[row : row + 1])[0],
-            _mask_ints(error_masks)[0],
+            (int(x[row]), int(z[row])),
+            (int(ex[0]), int(ez[0])),
             bool(classes[row] == error_class[0]),
         )
     return claims, reached, first_collision, claimed_before
@@ -302,17 +303,13 @@ def _letter_syndromes(code: StabilizerCode) -> np.ndarray:
     return np.array(rows, dtype=_key_dtype(code.num_generators))
 
 
-def _letter_masks(n: int) -> np.ndarray:
-    """[q, a]: the x words then the z words of letter a (X, Y, Z) on qubit q."""
-    words = -(-n // 64)
-    q = np.arange(n)
-    bit = np.left_shift(np.uint64(1), (q % 64).astype(np.uint64))
-    out = np.zeros((n, 3, 2 * words), dtype=np.uint64)
-    out[q, 0, q // 64] = bit
-    out[q, 1, q // 64] = bit
-    out[q, 1, words + q // 64] = bit
-    out[q, 2, words + q // 64] = bit
-    return out
+def _letter_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x table, then the z table: row q holds the masks of X, Y and Z on
+    qubit q, int64 up to 62 qubits."""
+    dtype = _key_dtype(n)
+    x = np.array([(1 << q, 1 << q, 0) for q in range(n)], dtype=dtype)
+    z = np.array([(0, 1 << q, 1 << q) for q in range(n)], dtype=dtype)
+    return x, z
 
 
 def _logicals(code: StabilizerCode) -> list[int]:
@@ -375,44 +372,20 @@ def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:
                 yield w, (3 * block.T[:, :, None] + digits[:, None]).reshape(w, -1).T
 
 
-def _claims(
-    idx: np.ndarray, masks: np.ndarray, classes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masks and class keys of the errors of the rows of idx."""
-    return _xor_gather(masks, idx), _xor_gather(classes, idx)
+def _claims(idx: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Keys of the errors of the rows of idx, one array per table."""
+    return [_xor_gather(keys, idx) for keys in tables]
 
 
 def _xor_gather(keys: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Key of each error, one error per row of `at`: the XOR of keys[q, a]
     over its entries q * keys.shape[1] + a, one for each of its qubits q
-    with that qubit's letter a.
-
-    Each trailing axis entry of `keys` (a mask word) is gathered on its own:
-    1-D gathers run several times faster than gathers of rows.
-    """
-    columns = keys.reshape(keys.shape[0] * keys.shape[1], -1).T
-    out = np.empty((len(columns), len(at)), dtype=keys.dtype)
-    for k, column in enumerate(columns):
-        column = np.ascontiguousarray(column)
-        acc = column[at[:, 0]]
-        for j in range(1, at.shape[1]):
-            acc ^= column[at[:, j]]
-        out[k] = acc
-    return out.T.reshape(len(at), *keys.shape[2:])
-
-
-def _mask_ints(masks: np.ndarray) -> list[Masks]:
-    """(x, z) Python ints of rows of x words then z words."""
-    words = masks.shape[1] // 2
-    return list(zip(_word_ints(masks[:, :words]), _word_ints(masks[:, words:])))
-
-
-def _word_ints(words: np.ndarray) -> list[int]:
-    """Each row of uint64 words as one Python int."""
-    ints = words[:, 0].tolist()
-    for k in range(1, words.shape[1]):
-        ints = [r | w << 64 * k for r, w in zip(ints, words[:, k].tolist())]
-    return ints
+    with that qubit's letter a."""
+    flat = keys.ravel()
+    out = flat[at[:, 0]]
+    for j in range(1, at.shape[1]):
+        out ^= flat[at[:, j]]
+    return out
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ class StabilizerCode:
         return RowBasis(2 * self.n, self.h.h.rows)
 
     def syndrome_masks(self, x: int, z: int) -> int:
-        """Syndrome as an int, from raw (x, z) masks.  Hot path for searches."""
+        """Syndrome as an int, from raw (x, z) masks; `syndrome` calls it."""
         sm = self.syndrome_matrices
         return sm.bsm.vec_mat(x) ^ sm.psm.vec_mat(z)
 

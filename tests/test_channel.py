@@ -148,47 +148,55 @@ class TestDecoderTable:
             assert code.syndrome_masks(x, z) == s
 
     def test_decode_and_fill_arrays_keep_integer_dtypes(self):
-        # NumPy 1.x promotes int64 mixed with uint64 to float64; syndromes
-        # and class keys stay int64 up to 62 bits and Python ints past that,
-        # mask words uint64
+        # NumPy 1.x promotes int64 mixed with uint64 to float64; syndromes,
+        # class keys and x/z mask keys stay int64 up to 62 bits and Python
+        # ints past that
         ch = PauliChannel(0.1, 0.2, 0.3)
         wide = random_code(70, 10, random.Random(70))  # 2k = 120 class bits
         gather = degeneracy._xor_gather
-        for code, syn_dtype, cls_dtype in (
-            (bch_31_11(), np.int64, np.int64),
-            (repetition_code(64), object, np.int64),
-            (wide, np.int64, object),
+        for code, syn_dtype, cls_dtype, mask_dtype in (
+            (bch_31_11(), np.int64, np.int64, np.int64),
+            (repetition_code(62), np.int64, np.int64, np.int64),
+            (repetition_code(64), object, np.int64, object),
+            (wide, np.int64, object, object),
         ):
-            n, words = code.n, -(-code.n // 64)
+            n = code.n
             claims = build_table(code, 1).claims
             assert claims.syndromes.dtype == syn_dtype
             assert claims.classes.dtype == cls_dtype
-            assert claims.masks.dtype == np.uint64
-            assert claims.masks.shape == (len(claims), 2 * words)
+            assert claims.x.dtype == claims.z.dtype == mask_dtype
+            assert claims.x.shape == claims.z.shape == (len(claims),)
             assert claims.claimant.dtype.kind == "i"
             letters = _sample_letters(ch, n, 3, 0, 50)
             assert letters.dtype.kind == "i"
             assert set(np.unique(letters).tolist()) == {0, 1, 2, 3}
             at = 4 * np.arange(n) + letters
             assert at.dtype == np.intp
+            x_masks, z_masks = degeneracy._letter_masks(n)
             for keys, dtype in (
                 (degeneracy._letter_syndromes(code), syn_dtype),
                 (degeneracy._letter_classes(code), cls_dtype),
-                (degeneracy._letter_masks(n), np.uint64),
+                (x_masks, mask_dtype),
+                (z_masks, mask_dtype),
             ):
                 keys = _with_identity(keys)
                 assert keys.dtype == dtype
+                assert keys.shape == (n, 4)
                 assert gather(keys, at).dtype == dtype
-        # the widest int64 keys and the top mask bit survive the gather
+        # the widest int64 syndrome and the top mask bit survive the gather
         code = repetition_code(63)
         letters = np.full((1, 63), 3)
         letters[0, 61:] = 0  # X on the last two qubits
         syndromes = _with_identity(degeneracy._letter_syndromes(code))
         assert gather(syndromes, 4 * np.arange(63) + letters).tolist() == [1 << 60]
-        masks = _with_identity(degeneracy._letter_masks(64))
-        letters = np.full((1, 64), 3)
-        letters[0, 63] = 1  # Y on the last qubit
-        assert gather(masks, 4 * np.arange(64) + letters).tolist() == [[1 << 63] * 2]
+        for n, dtype in ((62, np.int64), (64, object)):
+            letters = np.full((1, n), 3)
+            letters[0, n - 1] = 1  # Y on the last qubit
+            at = 4 * np.arange(n) + letters
+            for masks in degeneracy._letter_masks(n):
+                top = gather(_with_identity(masks), at)
+                assert top.dtype == dtype
+                assert top.tolist() == [1 << n - 1]
 
     def test_dict_view_of_bch_weight_three_table(self):
         code = bch_31_11()
@@ -411,7 +419,7 @@ class TestAgainstOracle:
         assert not table.full
         ch = PauliChannel(0.002, 0.001, 0.002)
         letters = _sample_letters(ch, 70, 5, 0, 400)
-        assert (letters[:, 64:] < 3).any()  # errors reach the second word
+        assert (letters[:, 64:] < 3).any()  # errors reach mask bits past 63
         expected = oracles.simulate_failures(code, ch, 400, 5, table.table)
         assert 0 < expected < 400
         assert simulate(code, ch, 400, 5, table=table).failures == expected

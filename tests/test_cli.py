@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -552,6 +553,34 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["valid"] is True
+
+    @pytest.mark.parametrize(
+        "args,unbuffered",
+        [
+            (["matrices", "--code", STEANE, "--json"], False),
+            (["matrices", "--code", STEANE, "--json"], True),
+            (["--version"], False),
+        ],
+    )
+    def test_closed_reader_exits_1_quietly(self, args, unbuffered):
+        # buffered, the broken pipe surfaces at the flush; unbuffered, in print
+        # (argparse swallows it there, so unbuffered --version exits 0)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stabcheck", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
     def test_console_script(self):
         # Run the declared [project.scripts] target the way the wrapper that

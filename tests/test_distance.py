@@ -205,12 +205,13 @@ class TestColumnBounds:
             assert classify_calls
             assert uppers > 10
 
-    def test_bch_bounds_skip_the_error_scan(self, syndrome_calls):
+    def test_bch_bounds_skip_the_error_scan(self, syndrome_calls, fill_chunks):
         code = bch_31_11()
         syndrome_calls.clear()
         b = column_bounds(code, 2)
         assert (b.lower, b.upper, b.exact) == (5, 5, 5)
         assert syndrome_calls == []
+        assert fill_chunks == []  # the syndrome fill of classify never ran
 
     def test_bch_distance_is_five(self):
         code = bch_31_11()
