@@ -74,12 +74,22 @@ def entry() -> None:
     sys.exit(status)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file: Any = None) -> None:
+        # argparse drops a failed write; a closed stdout reader must reach
+        # `entry` (--help and --version, unbuffered) to exit 1
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 # Built once per process: parse_args fills a fresh Namespace on every call,
 # no default is mutable, help reads COLUMNS when it formats, and the handlers
 # look up the library functions as module globals when they run.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabcheck",
         description="Validate, classify and simulate quantum stabilizer codes.",
     )

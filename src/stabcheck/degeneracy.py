@@ -38,9 +38,7 @@ from .symplectic import (
     DEPENDENT_FOUND,
     Gf2Matrix,
     PauliOperator,
-    RowBasis,
     SubsetSearch,
-    kernel_basis,
     smallest_dependent_subset,
 )
 
@@ -312,33 +310,14 @@ def _letter_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def _logicals(code: StabilizerCode) -> list[int]:
-    """2k logical operators (x | z << n) that span the normalizer modulo S.
-
-    The normalizer is the kernel of the symplectic form against the check
-    rows; each kernel vector is reduced modulo S and the operators kept so
-    far, and kept when a residue remains.
-    """
-    n, low = code.n, (1 << code.n) - 1
-    swapped = Gf2Matrix(2 * n, tuple(r >> n | (r & low) << n for r in code.h.h.rows))
-    basis = RowBasis(2 * n, code.h.h.rows)
-    logicals = []
-    for v in kernel_basis(swapped):
-        residue = basis.reduce(v.bits)
-        if residue:
-            basis.add(residue)
-            logicals.append(residue)
-    return logicals
-
-
 def _letter_classes(code: StabilizerCode) -> np.ndarray:
     """Row q: the class keys of X, Y and Z on qubit q.
 
-    Bit j of a key is the symplectic product with logical j of `_logicals`,
-    so X on q reads column n + q of the logicals (their Z part), Z column q.
+    Bit j of a key is the symplectic product with `code._logicals[j]`, so X
+    on q reads column n + q of the logicals (their Z part), Z column q.
     """
     n = code.n
-    cols = Gf2Matrix(2 * n, tuple(_logicals(code))).columns()
+    cols = Gf2Matrix(2 * n, code._logicals).columns()
     rows = [(cols[n + q], cols[n + q] ^ cols[q], cols[q]) for q in range(n)]
     return np.array(rows, dtype=_key_dtype(2 * code.k))
 

@@ -2,9 +2,9 @@
 
 The distance of a stabilizer code is the least symplectic weight over the
 operators that commute with every generator (zero syndrome) but are not
-stabilizer elements themselves.  `column_bounds` derives distance bounds
-from the largest m such that every m-subset of check-matrix columns is
-independent, without enumerating errors.  `min_distance` searches weight
+stabilizer elements (nonzero class key).  `column_bounds` derives distance
+bounds from the largest m such that every m-subset of check-matrix columns
+is independent, without enumerating errors.  `min_distance` searches weight
 levels ascending from that lower bound, since no level below it can hold a
 zero-syndrome operator, so the first hit is exact.
 """
@@ -176,16 +176,17 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
     a dependent set of the 2|S| syndrome columns of S (rows of bsm and psm),
     so a support needs its kernel, not all 3^w letter patterns.  Supports run
     in colex order by the DFS of `smallest_dependent_subset`; each column
-    enters an echelon basis tagged with its operator mask (x | z << n), a
-    zero residue leaves its tag in the kernel, and backtracking undoes both.
-    On the first support whose kernel span holds a non-stabilizer using every
-    qubit of S, the lex-least letter pattern (X < Y < Z, lowest qubit most
-    significant) is returned: the operator that colex supports with lex
-    letters meet first.
+    enters an echelon basis tagged with its operator mask (x | z << n) and its
+    class key above bit 2n, a zero residue leaves its tag in the kernel, and
+    backtracking undoes both.  On the first support whose kernel span holds a
+    non-stabilizer (class bits not 0) using every qubit of S, the lex-least
+    letter pattern (X < Y < Z, lowest qubit most significant) is returned: the
+    operator that colex supports with lex letters meet first.
     """
     n = code.n
     low = (1 << n) - 1
     sm = code.syndrome_matrices
+    classes = Gf2Matrix(2 * n, code._logicals).columns()
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
 
@@ -215,8 +216,8 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
         qubits = [q for q in range(n) if support >> q & 1]
         best = None
         for v in span:
-            x, z = v & low, v >> n
-            if x | z != support or code.in_stabilizer_masks(x, z):
+            x, z = v & low, v >> n & low
+            if x | z != support or not v >> 2 * n:
                 continue
             # letter index X=0, Y=1, Z=2 is z + 1 - x on each qubit
             key = [(z >> q & 1) + 1 - (x >> q & 1) for q in qubits]
@@ -226,8 +227,8 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
 
     def extend(bound: int, depth: int, support: int) -> tuple[int, int] | None:
         for q in range(depth - 1, bound):
-            kx = push(sm.bsm.rows[q], 1 << q)
-            kz = push(sm.psm.rows[q], 1 << (n + q))
+            kx = push(sm.bsm.rows[q], 1 << q | classes[n + q] << 2 * n)
+            kz = push(sm.psm.rows[q], 1 << (n + q) | classes[q] << 2 * n)
             if depth > 1:
                 hit = extend(q, depth - 1, support | 1 << q)
             else:
@@ -251,8 +252,8 @@ def min_distance(
     """Exhaustive minimum-distance search up to `search_limit` (default n).
 
     Weight levels ascend from the column lower bound, so the first operator
-    with zero syndrome outside the stabilizer row space is a minimum-weight
-    logical and d is exact.  No level below the bound needs a search:
+    with zero syndrome and a nonzero class key is a minimum-weight logical
+    and d is exact.  No level below the bound needs a search:
 
     - a weight-w operator with zero syndrome is a dependent set of at most
       2w columns of [H_X|H_Z] (its x and z bits);

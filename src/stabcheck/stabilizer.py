@@ -26,6 +26,7 @@ from .symplectic import (
     RowBasis,
     commutes,
     gf2_invert,
+    kernel_basis,
     pauli_from_string,
     pivot_step,
     row_reduce,
@@ -226,9 +227,26 @@ class StabilizerCode:
         return bsm_psm(self)
 
     @cached_property
-    def _stabilizer_rows(self) -> RowBasis:
-        """Row space of [H_X | H_Z] as 2n-bit ints (x | z << n)."""
-        return RowBasis(2 * self.n, self.h.h.rows)
+    def _logicals(self) -> tuple[int, ...]:
+        """2k logical operators (x | z << n) that span the normalizer modulo S.
+
+        The normalizer is the kernel of the symplectic form against the check
+        rows; each kernel vector is reduced modulo S and the operators kept so
+        far, and kept when a residue remains.  Bit j of a class key is the
+        symplectic product with logical j.  The logicals' products among
+        themselves form an invertible matrix, so an operator with zero
+        syndrome is in S exactly when its class key is 0.
+        """
+        n, low = self.n, (1 << self.n) - 1
+        swapped = Gf2Matrix(2 * n, tuple(r >> n | (r & low) << n for r in self.h.h.rows))
+        basis = RowBasis(2 * n, self.h.h.rows)
+        logicals = []
+        for v in kernel_basis(swapped):
+            residue = basis.reduce(v.bits)
+            if residue:
+                basis.add(residue)
+                logicals.append(residue)
+        return tuple(logicals)
 
     def syndrome_masks(self, x: int, z: int) -> int:
         """Syndrome as an int, from raw (x, z) masks; `syndrome` calls it."""
@@ -236,8 +254,10 @@ class StabilizerCode:
         return sm.bsm.vec_mat(x) ^ sm.psm.vec_mat(z)
 
     def in_stabilizer_masks(self, x: int, z: int) -> bool:
-        """Membership of (x|z) in the generator row space."""
-        return self._stabilizer_rows.contains(x | (z << self.n))
+        """Membership of (x|z) in S: zero syndrome and zero class key."""
+        swapped = z | x << self.n
+        key = ((swapped & v).bit_count() & 1 for v in self._logicals)
+        return not self.syndrome_masks(x, z) and not any(key)
 
     def in_stabilizer(self, p: PauliOperator) -> bool:
         self._check_n(p)

@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 
-def _parity(v: int) -> int:
-    return v.bit_count() & 1
-
-
 @dataclass(frozen=True)
 class BitVector:
     """Length-n bit vector; bit j of `bits` is coordinate j."""
@@ -72,15 +68,6 @@ class BitVector:
                 raise ValueError(f"unexpected character {ch!r} at position {j + 1}")
         return cls(len(text), bits)
 
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> BitVector:
-        bits = 0
-        for j in indices:
-            if not 0 <= j < n:
-                raise ValueError(f"index {j} out of range for length {n}")
-            bits |= 1 << j
-        return cls(n, bits)
-
     def get(self, j: int) -> int:
         if not 0 <= j < self.n:
             raise ValueError(f"index {j} out of range for length {self.n}")
@@ -93,15 +80,11 @@ class BitVector:
     def dot(self, other: BitVector) -> int:
         """Inner product mod 2."""
         self._check_len(other)
-        return _parity(self.bits & other.bits)
+        return (self.bits & other.bits).bit_count() & 1
 
     def __xor__(self, other: BitVector) -> BitVector:
         self._check_len(other)
         return BitVector(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: BitVector) -> BitVector:
-        self._check_len(other)
-        return BitVector(self.n, self.bits & other.bits)
 
     def to01(self) -> str:
         return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.n))
@@ -268,13 +251,6 @@ class Gf2Matrix:
 
     def transpose(self) -> Gf2Matrix:
         return Gf2Matrix(self.nrows, tuple(self.columns()))
-
-    def mat_vec(self, v: int) -> int:
-        """Product with a column vector (int over cols); bit i = <row i, v>."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= _parity(r & v) << i
-        return out
 
     def vec_mat(self, v: int) -> int:
         """Product of a row vector (int over nrows) with this matrix."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -542,26 +543,30 @@ class TestRun:
         assert simulate(steane, ch, 500, 8, table=t) == simulate(steane, ch, 500, 8)
 
     def test_letter_tables_come_from_the_table(self, steane, monkeypatch):
-        # the fill's per-qubit keys travel in the table, so the code's
-        # logicals are taken once per simulate and never inside run
+        # the fill's per-qubit keys travel in the table, so a code takes its
+        # logicals at most once, and never inside run
         calls = []
-        inner = degeneracy._logicals
+        inner = StabilizerCode._logicals.func
 
         def counted(code):
             calls.append(code)
             return inner(code)
 
-        monkeypatch.setattr(degeneracy, "_logicals", counted)
+        logicals = cached_property(counted)
+        logicals.__set_name__(StabilizerCode, "_logicals")
+        monkeypatch.setattr(StabilizerCode, "_logicals", logicals)
         ch = PauliChannel.depolarizing(0.05)
         assert simulate(steane, ch, 2000, 42).failures == 73
         assert len(calls) == 1
         table = build_table(steane)
+        assert len(calls) == 1
 
         def refused(code):
             raise AssertionError("run recomputed the letter tables")
 
-        # a forked worker inherits the patch, so a call there fails the run
-        monkeypatch.setattr(degeneracy, "_logicals", refused)
+        # a property outranks the cached value, and a forked worker inherits
+        # the patch, so a read anywhere in run fails it
+        monkeypatch.setattr(StabilizerCode, "_logicals", property(refused))
         for workers in (1, 3):
             r = simulate(steane, ch, 2000, 42, table=table, workers=workers)
             assert r.failures == 73

@@ -560,11 +560,13 @@ class TestEntryPoints:
             (["matrices", "--code", STEANE, "--json"], False),
             (["matrices", "--code", STEANE, "--json"], True),
             (["--version"], False),
+            (["--version"], True),
+            (["--help"], True),
         ],
     )
     def test_closed_reader_exits_1_quietly(self, args, unbuffered):
-        # buffered, the broken pipe surfaces at the flush; unbuffered, in print
-        # (argparse swallows it there, so unbuffered --version exits 0)
+        # buffered, the broken pipe surfaces at the flush; unbuffered, in the
+        # write itself (argparse's own writes included, for --help and --version)
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

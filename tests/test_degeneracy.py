@@ -370,7 +370,7 @@ class TestClassKeys:
         low = (1 << n) - 1
         logicals = [
             pauli_to_string(PauliOperator.from_masks(n, v & low, v >> n))
-            for v in degeneracy._logicals(code)
+            for v in code._logicals
         ]
         assert len(logicals) == 2 * k
         gens = generator_strings(code)
@@ -404,7 +404,7 @@ class TestClassKeys:
     def test_code_without_logicals(self):
         code = css_state_6_0()
         self.assert_keys(code)
-        assert degeneracy._logicals(code) == []
+        assert code._logicals == ()
         assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0]] * 6
 
     def test_wide_code(self):

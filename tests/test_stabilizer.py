@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 
 import oracles
-from conftest import draw_codes, generator_strings
+from conftest import css_state_6_0, draw_codes, generator_strings
 from stabcheck import (
     BitVector,
     DependentGeneratorsError,
@@ -18,6 +19,7 @@ from stabcheck import (
     is_css,
     pauli_from_string,
     pauli_to_string,
+    random_code,
     standard_form,
     syndrome,
     syndrome_direct,
@@ -131,11 +133,34 @@ class TestStabilizerMembership:
     def test_logical_not_member(self, steane):
         assert not steane.in_stabilizer(pauli_from_string("XXXIIII"))
 
-    def test_matches_oracle_span(self, five_qubit):
-        gens = generator_strings(five_qubit)
-        group = oracles.span(gens)
-        for e in oracles.errors_up_to(5, 2):
-            assert five_qubit.in_stabilizer(pauli_from_string(e)) == (e in group)
+    def test_matches_oracle_span(self, five_qubit, shor):
+        # zero syndrome and zero class key; css_state_6_0 has k = 0, so its
+        # class key is always 0
+        codes = [five_qubit, shor, css_state_6_0(), *draw_codes(25, 6, seed=16)]
+        for code in codes:
+            group = oracles.span(generator_strings(code))
+            # weight 3 reaches the five-qubit and Shor logicals
+            for e in chain(oracles.errors_up_to(code.n, min(code.n, 3)), group):
+                assert code.in_stabilizer(pauli_from_string(e)) == (e in group), e
+
+    def test_wide_code_products(self):
+        # 120 class bits: every product of generators is a member, and such a
+        # product times any one logical is not
+        code = random_code(70, 10, random.Random(70))
+        n, low = code.n, (1 << code.n) - 1
+        group = oracles.span(generator_strings(code))
+        assert len(code._logicals) == 120
+        logicals = [
+            pauli_to_string(PauliOperator.from_masks(n, v & low, v >> n))
+            for v in code._logicals
+        ]
+        for e in group:
+            assert code.in_stabilizer(pauli_from_string(e))
+        for e in random.Random(7).sample(sorted(group), 16):
+            for logical in logicals:
+                product = oracles.multiply(e, logical)
+                assert product not in group
+                assert not code.in_stabilizer(pauli_from_string(product))
 
 
 class TestStandardForm:
