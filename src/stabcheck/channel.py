@@ -12,11 +12,12 @@ reproducible and independent of how trials are split across workers.
 each trial the same words as `np.random.Generator(np.random.Philox(key=[seed,
 trial])).random(n)`, so the errors are those of the per-trial reference
 `sample_error(channel, n, _trial_rng(seed, trial))`.  The chunk is decoded
-in numpy too: each trial's letter indices come straight from its uniforms,
-its syndrome and logical class key are XOR-gathered from the per-qubit
-letter keys that the table's fill used, `searchsorted` finds the claimant
-of its syndrome, and the trial fails when the syndrome is uncovered or the
-class keys differ (in strict mode: when the x or z mask keys differ).
+in numpy too: each trial's letter indices come straight from its draws,
+kept as 53-bit integers and counted against integer thresholds, its
+syndrome and logical class key are XOR-gathered from the per-qubit letter
+keys that the table's fill used, `searchsorted` finds the claimant of its
+syndrome, and the trial fails when the syndrome is uncovered or the class
+keys differ (in strict mode: when the x or z mask keys differ).
 """
 
 from __future__ import annotations
@@ -186,11 +187,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-# Trials sampled per batch in `_run_range`.  Each uint64 array of a chunk
-# takes 8 kB per four qubits, whatever the trial count; 4096 trials added
-# about 1.5 MB to the peak RSS of a Steane and Shor run, 1024 about 0.1 MB,
-# at a few percent more time.
-_CHUNK = 1024
+# Philox words sampled per batch in `_run_range`: a chunk holds
+# max(1, _CHUNK_WORDS // ceil(n / 4)) trials, so each full uint64 array of
+# its rounds is 64 kB whatever n is, and numpy's per-call cost is spread over
+# that many words on small codes too.  8192 words is 1024 trials of the
+# 31-qubit BCH code; Steane gets 4096 trials a chunk, the 3-qubit
+# repetition code 8192.  Steane at 20k trials then Shor at 2k, tables built
+# beforehand, raise the peak RSS by 1.2 MB in a process of their own, against
+# 0.1 MB with 1024-trial chunks.
+_CHUNK_WORDS = 8192
 
 # Philox4x64-10 constants.  Everything stays np.uint64, because NumPy 1.x
 # promotes uint64 mixed with a Python int to float64.
@@ -215,26 +220,41 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Row t - start: `_trial_rng(seed, t).random(n)`, for t in [start, stop).
+    """Row t - start: the 53-bit integers m of `_trial_rng(seed, t).random(n)`,
+    for t in [start, stop), as uint64; numpy's uniform is exactly m * 2**-53.
 
     numpy's Philox keeps a 4-word buffer and increments its counter before
     it fills the buffer, so draw b of a fresh generator is word b % 4 of the
-    block at counter (b // 4 + 1, 0, 0, 0) under key (seed, trial).
+    block at counter (b // 4 + 1, 0, 0, 0) under key (seed, trial), and its
+    uniform is the word's top 53 bits.  Counter words 1 to 3 start as one
+    zero that broadcasts, so round 1's second product and round 2's first
+    run on a single element; from round 3 on every word is a full array.
     """
     blocks = -(-n // 4)
-    shape = (stop - start, blocks)
     k0 = np.full((1, 1), seed, dtype=np.uint64)
     k1 = np.arange(start, stop, dtype=np.uint64).reshape(-1, 1)
     c0 = np.arange(1, blocks + 1, dtype=np.uint64)  # broadcasts over trials
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     for _ in range(10):
         hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
         hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
         k0 = k0 + _PHILOX_W0
         k1 = k1 + _PHILOX_W1
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * blocks)
-    return (words[:, :n] >> _U11) * 2.0**-53
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(stop - start, 4 * blocks)
+    return words[:, :n] >> _U11
+
+
+def _integer_thresholds(channel: PauliChannel) -> np.ndarray:
+    """`_thresholds` as uint64 draws: m * 2**-53 >= t exactly when m >= c.
+
+    c = ceil(t * 2**53) (the product is exact), capped at 2**53: no 53-bit
+    draw reaches that, as no uniform reaches a threshold at or past 1.
+    """
+    return np.array(
+        [min(math.ceil(t * 2.0**53), 1 << 53) for t in _thresholds(channel)],
+        dtype=np.uint64,
+    )
 
 
 def _sample_letters(
@@ -244,9 +264,10 @@ def _sample_letters(
     [start, stop) draw, one trial per row.
 
     Row t - start is `sample_error(channel, n, _trial_rng(seed, t))`: the
-    letter is the number of cumulative masses at or below the uniform.
+    letter is the number of cumulative masses at or below the uniform,
+    counted on the integer draws against `_integer_thresholds`.
     """
-    thresholds = np.array(_thresholds(channel))
+    thresholds = _integer_thresholds(channel)
     return np.searchsorted(thresholds, _uniforms(seed, start, stop, n), side="right")
 
 
@@ -299,9 +320,10 @@ def _run_range(
         letter_keys, kept = (claims.letter_classes,), (claims.classes,)
     residues = [_with_identity(table) for table in letter_keys]
     keys, last = claims.syndromes, len(claims) - 1
+    step = max(1, _CHUNK_WORDS // -(-n // 4))
     failures = 0
-    for a in range(start, stop, _CHUNK):
-        at = 4 * qubits + _sample_letters(channel, n, seed, a, min(a + _CHUNK, stop))
+    for a in range(start, stop, step):
+        at = 4 * qubits + _sample_letters(channel, n, seed, a, min(a + step, stop))
         syn = _xor_gather(syndromes, at)
         row = np.minimum(np.searchsorted(keys, syn), last)
         claimant = claims.claimant[row]

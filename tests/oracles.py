@@ -203,7 +203,8 @@ def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict
     residual string is the identity (strict) or in the generators' span.
     """
     n = code.n
-    group = span([pauli_to_string(g) for g in code.h.generators])
+    # the span has 2**(n-k) strings; a strict run never needs it
+    group = None if strict else span([pauli_to_string(g) for g in code.h.generators])
     failures = 0
     for trial in range(trials):
         err = sample_error(channel, n, _trial_rng(seed, trial))

@@ -343,7 +343,9 @@ class TestBatchedStream:
             for n in (1, 4, 5, 8, 9, 31, 65):
                 got = _uniforms(seed, start, start + 3, n)
                 assert got.shape == (3, n)
-                for row, trial in zip(got, range(start, start + 3)):
+                assert got.dtype == np.uint64
+                assert (got < 2**53).all()
+                for row, trial in zip(got * 2.0**-53, range(start, start + 3)):
                     want = np.random.Generator(np.random.Philox(key=[seed, trial]))
                     assert row.tobytes() == want.random(n).tobytes(), (trial, n)
 
@@ -361,6 +363,30 @@ class TestBatchedStream:
         assert [(int(h) << 64) | int(l) for h, l in zip(hi, lo)] == [
             int(v) * m for v in a
         ]
+
+    def test_integer_thresholds_pick_what_the_uniforms_pick(self):
+        # m >= c exactly when m * 2**-53 >= t, at the draws either side of c,
+        # for thresholds at 0, inside (0, 1), at 1 and with a float sum past 1
+        seen = []
+        for ch in (
+            PauliChannel(1.0, 0.0, 0.0),
+            PauliChannel(0.0, 0.0, 1.0),
+            PauliChannel(0.0, 0.0, 0.0),
+            PauliChannel(0.1, 0.2, 0.7),
+            PauliChannel(0.33, 0.56, 0.11),  # the float sum rounds past 1
+            PauliChannel(0.07, 0.01, 0.19),
+        ):
+            floats = channel._thresholds(ch)
+            ints = channel._integer_thresholds(ch)
+            assert ints.dtype == np.uint64
+            seen += floats
+            for t, c in zip(floats, ints.tolist()):
+                assert c <= 2**53
+                for m in (c - 1, c, c + 1):
+                    if 0 <= m < 2**53:
+                        assert (m >= c) == (m * 2.0**-53 >= t), (ch, t, m)
+        assert 0.0 in seen and 1.0 in seen and max(seen) > 1.0
+        assert any(0.0 < t < 1.0 for t in seen)
 
     @pytest.mark.parametrize(
         "ch",
@@ -398,21 +424,49 @@ class TestAgainstOracle:
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
         assert mixed >= 10
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_chunk_size_is_invisible(self, steane, monkeypatch, chunk):
+    # Steane's 7 qubits take 2 Philox blocks a trial: 1 word still makes
+    # 1-trial chunks, and 15 words make 7
+    @pytest.mark.parametrize(
+        "words,chunk",
+        [pytest.param(w, c, id=str(c)) for w, c in ((1, 1), (6, 3), (15, 7))],
+    )
+    def test_chunk_size_is_invisible(self, steane, monkeypatch, words, chunk):
         ch = PauliChannel.depolarizing(0.08)
         t = build_table(steane)
         counts = [trials for trials in (500, chunk - 1, chunk, chunk + 1) if trials > 0]
         whole = [simulate(steane, ch, trials, 8, table=t) for trials in counts]
-        monkeypatch.setattr(channel, "_CHUNK", chunk)
-        assert [simulate(steane, ch, trials, 8, table=t) for trials in counts] == whole
+        sizes = []
 
-    def test_chunk_boundary_matches_oracle(self, steane):
-        ch = PauliChannel.depolarizing(0.08)
-        t = build_table(steane)
-        for trials in (channel._CHUNK - 1, channel._CHUNK, channel._CHUNK + 1):
-            expected = oracles.simulate_failures(steane, ch, trials, 4, t.table)
-            assert simulate(steane, ch, trials, 4, table=t).failures == expected
+        def sized(channel_, n, seed, start, stop):
+            sizes.append(stop - start)
+            return _sample_letters(channel_, n, seed, start, stop)
+
+        monkeypatch.setattr(channel, "_CHUNK_WORDS", words)
+        monkeypatch.setattr(channel, "_sample_letters", sized)
+        assert [simulate(steane, ch, trials, 8, table=t) for trials in counts] == whole
+        assert max(sizes) == chunk
+
+    # codes of 1, 2 and 8 Philox blocks a trial.  The BCH table stops at
+    # weight 2 and the run is strict: the full table takes seconds to fill,
+    # and the oracle's loose test seconds to span 2**20 stabilizers.
+    @pytest.mark.parametrize(
+        "name,max_weight,p,strict",
+        [
+            pytest.param("bitflip3", None, 0.08, False, id="bitflip3"),
+            pytest.param("steane", None, 0.08, False, id="steane"),
+            pytest.param("bch_31_11", 2, 0.01, True, id="bch_31_11"),
+        ],
+    )
+    def test_chunk_boundary_matches_oracle(self, request, name, max_weight, p, strict):
+        code = bch_31_11() if name == "bch_31_11" else request.getfixturevalue(name)
+        ch = PauliChannel.depolarizing(p)
+        t = build_table(code, max_weight)
+        chunk = channel._CHUNK_WORDS // -(-code.n // 4)
+        for trials in (chunk - 1, chunk, chunk + 1):
+            expected = oracles.simulate_failures(code, ch, trials, 4, t.table, strict)
+            assert 0 < expected < trials
+            r = simulate(code, ch, trials, 4, table=t, strict=strict)
+            assert r.failures == expected
 
     def test_wide_code_matches_oracle(self):
         code = random_code(70, 10, random.Random(70))
@@ -504,6 +558,12 @@ class TestRun:
         solo = simulate(steane, ch, 3000, 11, workers=1)
         pooled = simulate(steane, ch, 3000, 11, workers=3)
         assert solo == pooled
+
+    def test_pool_spans_of_several_chunks(self, steane):
+        # 5,000 trials a span, more than one 4,096-trial Steane chunk
+        ch = PauliChannel.depolarizing(0.06)
+        solo = simulate(steane, ch, 10_000, 12, workers=1)
+        assert simulate(steane, ch, 10_000, 12, workers=2) == solo
 
     @pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64, -1])
     def test_seed_outside_domain_rejected(self, steane, seed):
