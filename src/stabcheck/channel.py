@@ -12,12 +12,13 @@ reproducible and independent of how trials are split across workers.
 each trial the same words as `np.random.Generator(np.random.Philox(key=[seed,
 trial])).random(n)`, so the errors are those of the per-trial reference
 `sample_error(channel, n, _trial_rng(seed, trial))`.  The chunk is decoded
-in numpy too: each trial's letter indices come straight from its draws,
-kept as 53-bit integers and counted against integer thresholds, its
-syndrome and logical class key are XOR-gathered from the per-qubit letter
-keys that the table's fill used, `searchsorted` finds the claimant of its
-syndrome, and the trial fails when the syndrome is uncovered or the class
-keys differ (in strict mode: when the x or z mask keys differ).
+in numpy too: each trial's letters (X, Y, Z, I) come straight from its
+draws, kept as 53-bit integers and counted against integer thresholds, its
+syndrome and logical class key are XOR-gathered at 4q + a from the
+(qubit, letter) tables that the fill left in the `DecoderTable`, a
+`searchsorted` over the table's sorted syndromes finds the claimant, and
+the trial fails when the syndrome is uncovered or the class keys differ (in
+strict mode: when the x or z mask keys differ).
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .degeneracy import (
-    SyndromeMap,
+    DecoderTable,
     _letter_masks,
     _xor_gather,
     error_count,
@@ -80,45 +80,6 @@ class PauliChannel:
         return cls(p / 3.0, p / 3.0, p / 3.0)
 
 
-@dataclass(frozen=True, eq=False)
-class DecoderTable:
-    """Minimum-weight representative per syndrome, for one code.
-
-    Built breadth-first by weight, identity first, so each syndrome keeps the
-    lightest error that produces it (ties: first in enumeration order): the
-    map of `classify`, from the same fill (`fill_syndrome_map`), held as its
-    arrays in `claims`, with the claimants' logical class keys.  The fill
-    stops in the chunk in which every syndrome is claimed, so max_weight is
-    the level at which the map filled.  Coverage may be partial when
-    max_weight cuts the fill short; decoding an uncovered syndrome counts as
-    a failure.  `n` and `checks` (the check-matrix rows, x | z << n) name the
-    code the table was built for; `run` refuses a table for another code.
-    """
-
-    n: int
-    checks: tuple[int, ...]
-    claims: SyndromeMap
-    max_weight: int
-    num_syndromes: int
-
-    @cached_property
-    def table(self) -> dict[int, tuple[int, int]]:
-        """Syndrome -> (x, z) masks in claim order, built on first access."""
-        return self.claims.as_dict()
-
-    @property
-    def covered(self) -> int:
-        return len(self.claims)
-
-    @property
-    def full(self) -> bool:
-        return self.covered == self.num_syndromes
-
-    @property
-    def uncovered(self) -> int:
-        return self.num_syndromes - self.covered
-
-
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
 # table, 2**20 entries, peaks at 129 MB RSS, 40 MB of it the interpreter and
 # numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z mask keys,
@@ -145,14 +106,8 @@ def build_table(code: StabilizerCode, max_weight: int | None = None) -> DecoderT
             f"decoder table could hold {bound} entries, "
             f"more than the cap of {_MAX_TABLE_ENTRIES}"
         )
-    claims, reached, _, _ = fill_syndrome_map(code, limit)
-    return DecoderTable(
-        n=n,
-        checks=code.h.h.rows,
-        claims=claims,
-        max_weight=reached,
-        num_syndromes=total,
-    )
+    table, _, _ = fill_syndrome_map(code, limit)
+    return table
 
 
 def sample_error(
@@ -302,41 +257,33 @@ class SimResult:
 
 
 def _run_range(
-    code: StabilizerCode,
+    table: DecoderTable,
     channel: PauliChannel,
-    claims: SyndromeMap,
     seed: int,
     start: int,
     stop: int,
     strict: bool,
 ) -> int:
-    n = code.n
+    n = table.n
     qubits = np.arange(n)
-    syndromes = _with_identity(claims.letter_syndromes)
     # strict: the error is its claimant (same x and z); else: they share a class
     if strict:
-        letter_keys, kept = _letter_masks(n), (claims.x, claims.z)
+        letter_keys, kept = _letter_masks(n), (table.x, table.z)
     else:
-        letter_keys, kept = (claims.letter_classes,), (claims.classes,)
-    residues = [_with_identity(table) for table in letter_keys]
-    keys, last = claims.syndromes, len(claims) - 1
+        letter_keys, kept = (table.letter_classes,), (table.classes,)
+    keys, last = table.syndromes, table.covered - 1
     step = max(1, _CHUNK_WORDS // -(-n // 4))
     failures = 0
     for a in range(start, stop, step):
         at = 4 * qubits + _sample_letters(channel, n, seed, a, min(a + step, stop))
-        syn = _xor_gather(syndromes, at)
+        syn = _xor_gather(table.letter_syndromes, at)
         row = np.minimum(np.searchsorted(keys, syn), last)
-        claimant = claims.claimant[row]
+        claimant = table.claimant[row]
         ok = keys[row] == syn
-        for letters, claimed in zip(residues, kept):
+        for letters, claimed in zip(letter_keys, kept):
             ok &= claimed[claimant] == _xor_gather(letters, at)
         failures += len(ok) - int(np.count_nonzero(ok))
     return failures
-
-
-def _with_identity(letter_keys: np.ndarray) -> np.ndarray:
-    """Per-qubit X, Y, Z keys with a fourth letter, I, whose keys are 0."""
-    return np.concatenate((letter_keys, np.zeros_like(letter_keys[:, :1])), axis=1)
 
 
 def pool_size(workers: int, spans: int, cpus: int | None) -> int:
@@ -379,7 +326,7 @@ def run(
     elif (table.n, table.checks) != (code.n, code.h.h.rows):
         raise ValueError("decoder table was built for another code")
     if workers == 1 or trials < 2 * workers:
-        failures = _run_range(code, channel, table.claims, seed, 0, trials, strict)
+        failures = _run_range(table, channel, seed, 0, trials, strict)
     else:
         step = -(-trials // workers)
         spans = [
@@ -389,12 +336,7 @@ def run(
         with ProcessPoolExecutor(max_workers=size) as pool:
             parts = pool.map(
                 _run_range,
-                *zip(
-                    *[
-                        (code, channel, table.claims, seed, a, b, strict)
-                        for a, b in spans
-                    ]
-                ),
+                *zip(*[(table, channel, seed, a, b, strict) for a, b in spans]),
             )
             failures = sum(parts)
     rate = failures / trials

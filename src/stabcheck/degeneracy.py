@@ -16,15 +16,18 @@ exactly when their class keys agree.
 A syndrome is the sum of the check-matrix columns its error picks, so a
 syndrome, the x and z masks of an error and its class key are each one XOR
 of per-qubit keys of its letters, all held alike: int64 up to 62 bits,
-Python ints in object arrays past that.  `_error_chunks` lists the errors in
-chunks, as flat indices into those (qubit, letter) tables, and `_xor_gather`
-gathers any of them.
+Python ints in object arrays past that.  Each (qubit, letter) table has the
+columns X, Y, Z and I, the I keys 0.  `_error_chunks` lists the errors in
+chunks, as flat indices 4q + a into those tables, `_xor_gather` gathers any
+of them, and the decoder in `channel.run` gathers the sampled errors the
+same way from the tables that the fill leaves in its `DecoderTable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterator, Mapping
@@ -132,8 +135,18 @@ Masks = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
-class SyndromeMap:
-    """The syndrome -> error map of `fill_syndrome_map`, as arrays.
+class DecoderTable:
+    """Minimum-weight representative per syndrome, for one code: the
+    syndrome -> error map of `fill_syndrome_map`, as arrays.
+
+    The fill runs breadth-first by weight, identity first, so each syndrome
+    keeps the lightest error that produces it (ties: first in enumeration
+    order).  `build_table` stops it in the chunk in which every syndrome is
+    claimed, so max_weight is the level at which the map filled.  Coverage
+    may be partial when max_weight cuts the fill short; decoding an
+    uncovered syndrome counts as a failure.  `checks` (the check-matrix
+    rows, x | z << n) and `n` name the code the table was built for; `run`
+    refuses a table for another code.
 
     `syndromes` holds the claimed syndromes in ascending order and
     `claimant` the claim of each: its index in `x`, `z` and `classes`,
@@ -142,10 +155,12 @@ class SyndromeMap:
     `_letter_classes`, so two errors with equal syndromes differ by a
     stabilizer exactly when their class keys agree.  All of them are int64,
     or Python ints in object arrays past 62 bits.  `letter_syndromes` and
-    `letter_classes` are the per-qubit X, Y and Z keys the fill gathered
-    them from, kept for decoding.
+    `letter_classes` are the per-qubit letter keys the fill gathered them
+    from, kept for decoding.
     """
 
+    checks: tuple[int, ...]
+    max_weight: int
     syndromes: np.ndarray
     claimant: np.ndarray
     x: np.ndarray
@@ -154,17 +169,40 @@ class SyndromeMap:
     letter_syndromes: np.ndarray
     letter_classes: np.ndarray
 
-    def __len__(self) -> int:
+    def __getstate__(self) -> dict:
+        # pool workers decode from the arrays; the dict view stays behind
+        return {k: v for k, v in self.__dict__.items() if k != "table"}
+
+    @property
+    def n(self) -> int:
+        return len(self.letter_syndromes)
+
+    @property
+    def num_syndromes(self) -> int:
+        return 1 << len(self.checks)
+
+    @property
+    def covered(self) -> int:
         return len(self.syndromes)
 
-    def as_dict(self) -> dict[int, Masks]:
-        """Syndrome -> (x, z) in claim order, one int object per distinct mask.
+    @property
+    def full(self) -> bool:
+        return self.covered == self.num_syndromes
+
+    @property
+    def uncovered(self) -> int:
+        return self.num_syndromes - self.covered
+
+    @cached_property
+    def table(self) -> dict[int, Masks]:
+        """Syndrome -> (x, z) masks in claim order, built on first access,
+        one int object per distinct mask.
 
         The 2**20 entries of the [[31,11,5]] table hold 17,623 distinct masks,
         so sharing them saves about 60 MB.  The dict is filled in blocks, so
         that the lists feeding it stay small.
         """
-        size = len(self)
+        size = self.covered
         rank = np.empty_like(self.claimant)
         rank[self.claimant] = np.arange(size)
         shared: dict[int, int] = {}
@@ -185,7 +223,7 @@ Collision = tuple[Masks, Masks, bool]
 
 def fill_syndrome_map(
     code: StabilizerCode, max_weight: int, *, full: bool = True, collision: bool = False
-) -> tuple[SyndromeMap, int, Collision | None, int | None]:
+) -> tuple[DecoderTable, Collision | None, int | None]:
     """Syndrome -> error map of the errors of weight 1..max_weight.
 
     The identity claims the zero syndrome; every other syndrome is kept by
@@ -198,8 +236,8 @@ def fill_syndrome_map(
     chunk in which the map is full (if `full`) and an error has collided (if
     `collision`).
 
-    Returns (map, last weight evaluated, first collision or None, syndromes
-    claimed before it or None).
+    Returns (table, first collision or None, syndromes claimed before it or
+    None); the table's max_weight is the last weight evaluated.
     """
     n, total = code.n, 1 << code.num_generators
     letters = _letter_syndromes(code)
@@ -247,19 +285,27 @@ def fill_syndrome_map(
     # trimmed copies: the spare rows of a grown buffer may be resident
     syn, x, z, classes = (buf[:size].copy() for buf in claims_by_order)
     claimant = np.argsort(syn)
-    claims = SyndromeMap(
-        claimed[:size].copy(), claimant, x, z, classes, letters, letter_classes
+    table = DecoderTable(
+        code.h.h.rows,
+        reached,
+        claimed[:size].copy(),
+        claimant,
+        x,
+        z,
+        classes,
+        letters,
+        letter_classes,
     )
     first_collision = None
     if clash is not None:
         s, (ex, ez, error_class) = clash
-        row = claimant[np.searchsorted(claims.syndromes, s)]
+        row = claimant[np.searchsorted(table.syndromes, s)]
         first_collision = (
             (int(x[row]), int(z[row])),
             (int(ex[0]), int(ez[0])),
             bool(classes[row] == error_class[0]),
         )
-    return claims, reached, first_collision, claimed_before
+    return table, first_collision, claimed_before
 
 
 def _merge_sorted(
@@ -295,38 +341,38 @@ def _key_dtype(bits: int) -> type:
 
 
 def _letter_syndromes(code: StabilizerCode) -> np.ndarray:
-    """Row q: the syndromes of X, Y and Z on qubit q, int64 up to 62 bits."""
+    """Row q: the syndromes of X, Y, Z and I on qubit q, int64 up to 62 bits."""
     sm = code.syndrome_matrices
-    rows = [(b, b ^ p, p) for b, p in zip(sm.bsm.rows, sm.psm.rows)]
+    rows = [(b, b ^ p, p, 0) for b, p in zip(sm.bsm.rows, sm.psm.rows)]
     return np.array(rows, dtype=_key_dtype(code.num_generators))
 
 
 def _letter_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x table, then the z table: row q holds the masks of X, Y and Z on
-    qubit q, int64 up to 62 qubits."""
+    """The x table, then the z table: row q holds the masks of X, Y, Z and I
+    on qubit q, int64 up to 62 qubits."""
     dtype = _key_dtype(n)
-    x = np.array([(1 << q, 1 << q, 0) for q in range(n)], dtype=dtype)
-    z = np.array([(0, 1 << q, 1 << q) for q in range(n)], dtype=dtype)
+    x = np.array([(1 << q, 1 << q, 0, 0) for q in range(n)], dtype=dtype)
+    z = np.array([(0, 1 << q, 1 << q, 0) for q in range(n)], dtype=dtype)
     return x, z
 
 
 def _letter_classes(code: StabilizerCode) -> np.ndarray:
-    """Row q: the class keys of X, Y and Z on qubit q.
+    """Row q: the class keys of X, Y, Z and I on qubit q.
 
     Bit j of a key is the symplectic product with `code._logicals[j]`, so X
     on q reads column n + q of the logicals (their Z part), Z column q.
     """
     n = code.n
     cols = Gf2Matrix(2 * n, code._logicals).columns()
-    rows = [(cols[n + q], cols[n + q] ^ cols[q], cols[q]) for q in range(n)]
+    rows = [(cols[n + q], cols[n + q] ^ cols[q], cols[q], 0) for q in range(n)]
     return np.array(rows, dtype=_key_dtype(2 * code.k))
 
 
 def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:
     """(w, idx) for each chunk of the weight 1..max_weight errors, in
-    enumeration order.  Row e of idx holds 3*q + a for each qubit q of error
-    e, ascending, with its letter a (0, 1, 2 for X, Y, Z); each column is
-    contiguous.
+    enumeration order.  Row e of idx holds 4*q + a for each qubit q of error
+    e, ascending, with its letter a (0, 1, 2 for X, Y, Z; the I column 3 is
+    never listed); each column is contiguous.
 
     A chunk is a run of supports, each crossed with the same run of letter
     patterns: all 3**w patterns, for as many supports as fit `_FILL_CHUNK`,
@@ -348,7 +394,7 @@ def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:
             for p in range(0, patterns, _FILL_CHUNK):
                 numbers = np.arange(p, min(p + _FILL_CHUNK, patterns), dtype=np.intp)
                 digits = numbers // place % 3
-                yield w, (3 * block.T[:, :, None] + digits[:, None]).reshape(w, -1).T
+                yield w, (4 * block.T[:, :, None] + digits[:, None]).reshape(w, -1).T
 
 
 def _claims(idx: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[np.ndarray]:
@@ -358,8 +404,8 @@ def _claims(idx: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[np.ndarray]
 
 def _xor_gather(keys: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Key of each error, one error per row of `at`: the XOR of keys[q, a]
-    over its entries q * keys.shape[1] + a, one for each of its qubits q
-    with that qubit's letter a."""
+    over its entries 4q + a of an (n, 4) letter table, one for each of its
+    qubits q with that qubit's letter a (3 for I, whose keys are 0)."""
     flat = keys.ravel()
     out = flat[at[:, 0]]
     for j in range(1, at.shape[1]):
@@ -427,7 +473,7 @@ def classify(
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
     n = code.n
-    claims, _, collision, claimed_before = fill_syndrome_map(
+    table, collision, claimed_before = fill_syndrome_map(
         code, t, full=exhaustive, collision=True
     )
     witness: CollisionWitness | None = None
@@ -454,7 +500,7 @@ def classify(
         criteria["necessary_columns"] = _necessary_outcome(search, t)
         criteria["css_blocks"] = css_nondegeneracy(code, t, budget=budget)
         criteria["standard_form"] = standard_form_shortcut(standard_form(code), t)
-    distinct = len(claims) - 1 if exhaustive or witness is None else claimed_before
+    distinct = table.covered - 1 if exhaustive or witness is None else claimed_before
     expected = error_count(n, t)
     return ClassificationReport(
         verdict=verdict,

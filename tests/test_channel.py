@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 from functools import cached_property
 
@@ -32,7 +33,6 @@ from stabcheck.channel import (
     _sample_letters,
     _trial_rng,
     _uniforms,
-    _with_identity,
     pool_size,
     sample_error,
 )
@@ -136,7 +136,7 @@ class TestDecoderTable:
         assert letters.dtype == np.int64
         for _, idx in degeneracy._error_chunks(63, 2):
             assert idx.dtype == np.intp
-        idx = np.array([[1, 183, 186], [1, 185, 187]], dtype=np.intp)  # 3q + letter
+        idx = np.array([[1, 244, 248], [1, 246, 249]], dtype=np.intp)  # 4q + letter
         syn = degeneracy._xor_gather(letters, idx)
         assert syn.dtype == np.int64
         # Y0 X61 X62 sets bits 0 and 60 (61 cancels); Y0 Z61 Y62 bits 0 and 61
@@ -162,12 +162,12 @@ class TestDecoderTable:
             (wide, np.int64, object, object),
         ):
             n = code.n
-            claims = build_table(code, 1).claims
-            assert claims.syndromes.dtype == syn_dtype
-            assert claims.classes.dtype == cls_dtype
-            assert claims.x.dtype == claims.z.dtype == mask_dtype
-            assert claims.x.shape == claims.z.shape == (len(claims),)
-            assert claims.claimant.dtype.kind == "i"
+            t = build_table(code, 1)
+            assert t.syndromes.dtype == syn_dtype
+            assert t.classes.dtype == cls_dtype
+            assert t.x.dtype == t.z.dtype == mask_dtype
+            assert t.x.shape == t.z.shape == (t.covered,)
+            assert t.claimant.dtype.kind == "i"
             letters = _sample_letters(ch, n, 3, 0, 50)
             assert letters.dtype.kind == "i"
             assert set(np.unique(letters).tolist()) == {0, 1, 2, 3}
@@ -180,7 +180,6 @@ class TestDecoderTable:
                 (x_masks, mask_dtype),
                 (z_masks, mask_dtype),
             ):
-                keys = _with_identity(keys)
                 assert keys.dtype == dtype
                 assert keys.shape == (n, 4)
                 assert gather(keys, at).dtype == dtype
@@ -188,14 +187,14 @@ class TestDecoderTable:
         code = repetition_code(63)
         letters = np.full((1, 63), 3)
         letters[0, 61:] = 0  # X on the last two qubits
-        syndromes = _with_identity(degeneracy._letter_syndromes(code))
+        syndromes = degeneracy._letter_syndromes(code)
         assert gather(syndromes, 4 * np.arange(63) + letters).tolist() == [1 << 60]
         for n, dtype in ((62, np.int64), (64, object)):
             letters = np.full((1, n), 3)
             letters[0, n - 1] = 1  # Y on the last qubit
             at = 4 * np.arange(n) + letters
             for masks in degeneracy._letter_masks(n):
-                top = gather(_with_identity(masks), at)
+                top = gather(masks, at)
                 assert top.dtype == dtype
                 assert top.tolist() == [1 << n - 1]
 
@@ -208,6 +207,19 @@ class TestDecoderTable:
         # one int object per distinct mask, as a dict of shared masks holds
         masks = [m for pair in t.table.values() for m in pair]
         assert len({id(m) for m in masks}) == len(set(masks))
+
+    def test_pool_payload_leaves_the_dict_view_behind(self):
+        # pool workers decode from the arrays: a dict view read before the
+        # run must not be pickled with the table
+        code = bch_31_11()
+        t = build_table(code, 3)
+        before = pickle.dumps(t)
+        assert len(t.table) == t.covered == 97_000
+        assert pickle.dumps(t) == before
+        assert "table" not in vars(pickle.loads(pickle.dumps(t)))
+        ch = PauliChannel.depolarizing(0.01)
+        solo = simulate(code, ch, 4000, 6, table=t, workers=1)
+        assert simulate(code, ch, 4000, 6, table=t, workers=2) == solo
 
     def test_representatives_have_minimal_weight(self, steane):
         gens = generator_strings(steane)
@@ -274,7 +286,7 @@ class TestFillAgainstLoop:
         # the map fills in the first slice; both slices list the level
         level = [idx for w, idx in degeneracy._error_chunks(9, 9) if w == 9]
         assert [len(idx) for idx in level] == [chunk, 3**9 - chunk]
-        letters = np.concatenate(level) % 3
+        letters = np.concatenate(level) % 4
         strings = ["".join("XYZ"[a] for a in row) for row in letters.tolist()]
         assert strings == list(oracles.weight_level(9, 9))
 
@@ -394,8 +406,9 @@ class TestBatchedStream:
             PauliChannel(1.0, 0.0, 0.0),
             PauliChannel(0.0, 0.0, 1.0),
             PauliChannel(0.0, 0.0, 0.0),
-            PauliChannel(0.1, 0.2, 0.7),  # the float sum rounds past 1
+            PauliChannel(0.1, 0.2, 0.7),  # the float sum is exactly 1
             PauliChannel(0.07, 0.01, 0.19),
+            PauliChannel(0.33, 0.56, 0.11),  # the float sum rounds past 1
         ],
     )
     def test_masks_equal_per_trial_sampler(self, ch):
@@ -484,7 +497,7 @@ class TestAgainstOracle:
         # k = 0: class keys are 0 bits wide, so only uncovered syndromes fail
         # a loose decode
         code = css_state_6_0()
-        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0]] * 6
+        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0, 0]] * 6
         ch = PauliChannel(0.06, 0.03, 0.05)
         for table in (build_table(code), build_table(code, 1)):
             expected = oracles.simulate_failures(code, ch, 400, 3, table.table, strict)
@@ -635,12 +648,21 @@ class TestRun:
         ch = PauliChannel.depolarizing(0.05)
         other = random_code(7, 6, random.Random(7))  # same n, other checks
         reordered = StabilizerCode.from_strings(*generator_strings(steane)[::-1])
+        # check rows (3, 6) in both, so only n tells the codes apart
+        short = StabilizerCode.from_strings("XXI", "IXX")
+        padded = StabilizerCode.from_strings("XXII", "IXXI")
+        assert short.h.h.rows == padded.h.h.rows == (3, 6)
         monkeypatch.setattr(channel, "_uniforms", None)  # no trial may start
-        for code in (shor, other, reordered):
+        for code, target in (
+            (shor, steane),
+            (other, steane),
+            (reordered, steane),
+            (short, padded),
+        ):
             with pytest.raises(ValueError, match="built for another code"):
-                simulate(steane, ch, 2000, 1, table=build_table(code))
+                simulate(target, ch, 2000, 1, table=build_table(code))
             with pytest.raises(ValueError, match="built for another code"):
-                simulate(steane, ch, 2000, 1, table=build_table(code), workers=3)
+                simulate(target, ch, 2000, 1, table=build_table(code), workers=3)
 
     def test_strict_counts_degenerate_recoveries_as_failures(self, shor):
         ch = PauliChannel.depolarizing(0.08)

@@ -383,7 +383,8 @@ class TestClassKeys:
         ]
         assert gf2_rank(gram) == 2 * k
         keys = degeneracy._letter_classes(code)
-        assert keys.shape == (n, 3)
+        assert keys.shape == (n, 4)
+        assert keys[:, 3].tolist() == [0] * n  # I commutes with every logical
         for q in range(n):
             for i, letter in enumerate("XYZ"):
                 error = "I" * q + letter + "I" * (n - q - 1)
@@ -405,7 +406,7 @@ class TestClassKeys:
         code = css_state_6_0()
         self.assert_keys(code)
         assert code._logicals == ()
-        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0]] * 6
+        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0, 0]] * 6
 
     def test_wide_code(self):
         code = random_code(70, 10, random.Random(70))
