@@ -230,11 +230,11 @@ def fill_syndrome_map(
     the first error in enumeration order that produces it.  The syndromes of
     a chunk of `_error_chunks` (int64, or Python ints in an object array
     past 62 bits) are XOR-gathered from the per-qubit letter syndromes by its
-    index; `np.unique` gives their first occurrences, those not in the sorted
-    array of claimed keys are claimed in order, and only the index rows of
-    the claimants gather mask and class keys.  The fill stops after the
-    chunk in which the map is full (if `full`) and an error has collided (if
-    `collision`).
+    index; an unstable sort gives their first occurrences, those not in the
+    sorted array of claimed keys are claimed in order, and only the index
+    rows of the claimants gather mask and class keys.  The fill stops after
+    the chunk in which the map is full (if `full`) and an error has collided
+    (if `collision`).
 
     Returns (table, first collision or None, syndromes claimed before it or
     None); the table's max_weight is the last weight evaluated.
@@ -255,7 +255,14 @@ def fill_syndrome_map(
     for w, idx in _error_chunks(n, max_weight):
         reached = w
         syn = _xor_gather(letters, idx)
-        values, first = np.unique(syn, return_index=True)
+        # first occurrences: heads of the runs of equal sorted syndromes, each
+        # with the least index of its run (the sort need not be stable)
+        by_key = np.argsort(syn)
+        ordered = syn[by_key]
+        head = np.ones(len(syn), dtype=bool)
+        head[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(head)
+        values, first = ordered[starts], np.minimum.reduceat(by_key, starts)
         keys = claimed[:size]
         at = np.searchsorted(keys, values)
         fresh = keys[np.minimum(at, size - 1)] != values

@@ -18,6 +18,7 @@ subset-independence loops allocation-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -402,11 +403,12 @@ class SubsetSearch:
     `dependent` is None unless outcome == "dependent_found"; when set it is a
     minimal dependent subset (every proper subset is independent), sorted
     ascending.  `visited` counts column insertions, the quantity capped by
-    the budget; the last two DFS levels, answered by lookup, count the
-    insertions their loops would have made.  `verified` is the largest size
-    whose subsets were all found independent: max_size when all_independent,
-    one less than the witness size when dependent_found, and the last size
-    searched to the end when the budget ran out.
+    the budget; the last two DFS levels, answered by lookup, and the sizes
+    settled from the pair map count the insertions their loops would have
+    made.  `verified` is the largest size whose subsets were all found
+    independent: max_size when all_independent, one less than the witness
+    size when dependent_found, and the last size searched to the end when
+    the budget ran out.
     """
 
     outcome: str
@@ -441,6 +443,15 @@ def smallest_dependent_subset(
     and size 1, keep a `reduce` per column.  `visited` still counts the
     column insertions that the two levels' loops would make, and a budget
     stop falls where theirs would.
+
+    Circuit-free sizes 3 and 4 are settled from the full pair map, with no
+    DFS: with no smaller circuit, a 3-circuit is a pair whose XOR is a
+    column and a 4-circuit two pairs with one XOR.  A settled level is still
+    charged the visits of its DFS, sum_{j=1..s} C(N - s + j, j) over N
+    columns.  Settling needs the whole level to fit the remaining budget and
+    all C(N, 2) pairs to fit `_PAIR_CAP`; a level that holds a circuit, or
+    fails either test, runs the DFS, which alone finds witnesses and budget
+    stops.
     """
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
@@ -458,6 +469,33 @@ def smallest_dependent_subset(
     for j, col in enumerate(cols):
         first.setdefault(col, j)
     visited = 0
+
+    def map_column() -> None:
+        # the pairs (mapped, j), j < mapped
+        nonlocal mapped
+        col, base = cols[mapped], mapped * ncols
+        for j in range(mapped):
+            pairs.setdefault(col ^ cols[j], base + j)
+        mapped += 1
+
+    def settled(size: int) -> bool:
+        # Every smaller size is circuit-free, so the columns are distinct and
+        # nonzero: no pair's XOR is 0 or one of its own columns, and two
+        # pairs with one XOR are disjoint.
+        nonlocal visited
+        steps, npairs = _level_steps(ncols, size), comb(ncols, 2)
+        if steps > budget - visited or npairs > _PAIR_CAP:
+            return False
+        while mapped < ncols:
+            map_column()
+        if size == 3:
+            circuit = not pairs.keys().isdisjoint(first)  # `first` keys the columns
+        else:
+            circuit = len(pairs) < npairs
+        if circuit:
+            return False
+        visited += steps
+        return True
 
     def last_two(
         bound: int, span: list[int], chosen: list[int]
@@ -477,10 +515,7 @@ def smallest_dependent_subset(
             and _steps(mapped) + 2 <= left
             and len(pairs) + mapped <= _PAIR_CAP
         ):
-            col, base = cols[mapped], mapped * ncols
-            for j in range(mapped):
-                pairs.setdefault(col ^ cols[j], base + j)
-            mapped += 1
+            map_column()
         end = bound * ncols
         hit = min(map(pairs.__getitem__, pairs.keys() & span), default=end)
         if hit >= end:
@@ -556,6 +591,8 @@ def smallest_dependent_subset(
         # column the loop is as fast on narrow matrices.
         if size == 2:
             return last_two(ncols, [0], [])
+        if size in (3, 4) and settled(size):
+            return None
         if size > 2 and 1 << (size - 2) <= ncols:
             return by_lookup(ncols, size, [], [0])
         return extend(ncols, size, [])
@@ -575,6 +612,15 @@ def smallest_dependent_subset(
 def _steps(c: int) -> int:
     """Visits of the last two DFS levels over columns 1..c-1 with no hit."""
     return (c - 1) * (c + 2) // 2
+
+
+def _level_steps(n: int, size: int) -> int:
+    """Visits of a circuit-free DFS level of `size` over n columns.
+
+    The sum over j = 1..size of C(n - size + j, j), which telescopes to
+    C(n + 1, size) - 1; `_steps(c)` is size 2 over c columns.
+    """
+    return comb(n + 1, size) - 1
 
 
 class _BudgetExhausted(Exception):

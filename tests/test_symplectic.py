@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -369,6 +370,86 @@ class TestSmallestDependentSubset:
         assert (s.outcome, s.visited, s.verified) == (BUDGET_EXHAUSTED, 5 * 10**6, 2)
         assert peak < 16 * 2**20
 
+    def test_circuit_free_level_visits(self):
+        # A circuit-free level of size s over N columns visits
+        # sum_{j=1..s} C(N - s + j, j) columns, the charge of a settled level.
+        def level(ncols, size):
+            return sum(comb(ncols - size + j, j) for j in range(1, size + 1))
+
+        rng = random.Random(43)
+        matrices = [Gf2Matrix.identity(ncols) for ncols in range(1, 11)]
+        for _ in range(10):
+            ncols = rng.randint(1, 12)
+            cols = tuple(rng.getrandbits(40) for _ in range(ncols))
+            matrices.append(Gf2Matrix(40, cols).transpose())
+        for m in matrices:
+            before = 0
+            for size in range(1, min(5, m.cols) + 1):
+                s = oracles.subset_search_dfs(m, size, DEFAULT_BUDGET)
+                assert s.outcome == ALL_INDEPENDENT, m
+                assert s.visited - before == level(m.cols, size)
+                assert symplectic._level_steps(m.cols, size) == level(m.cols, size)
+                before = s.visited
+        for c in range(1, 100):
+            assert symplectic._steps(c) == level(c, 2)
+
+    def test_bch_sizes_three_and_four_settled_by_the_pair_map(self, monkeypatch):
+        # The 62 columns of the BCH check matrix have no circuit below size 5.
+        # With all C(62, 2) pairs within the cap, sizes 3 and 4 run no DFS
+        # (no `_steps` call past size 2); one pair less and both run it.
+        # Every field matches the oracle at budgets around the totals of
+        # sizes 1..3 and 1..4, where settlement turns on level by level.
+        m = bch_31_11().h.h
+        calls = _count_steps(monkeypatch)
+
+        def step_calls(max_size):
+            calls.clear()
+            s = smallest_dependent_subset(m, max_size)
+            assert (s.outcome, s.verified) == (ALL_INDEPENDENT, max_size)
+            return len(calls)
+
+        npairs, default_cap = comb(62, 2), symplectic._PAIR_CAP
+        for cap, on in ((default_cap, True), (npairs, True), (npairs - 1, False)):
+            monkeypatch.setattr(symplectic, "_PAIR_CAP", cap)
+            counts = [step_calls(size) for size in (2, 3, 4)]
+            if on:
+                assert counts[0] == counts[1] == counts[2], (cap, counts)
+            else:
+                assert counts[0] < counts[1] < counts[2], (cap, counts)
+        totals = [sum(symplectic._level_steps(62, s) for s in range(1, top + 1)) for top in (3, 4)]
+        for budget in sorted({t + d for t in totals for d in (-1, 0, 1)}):
+            expected = oracles.subset_search_dfs(m, 4, budget)
+            for cap in (default_cap, npairs, npairs - 1):
+                monkeypatch.setattr(symplectic, "_PAIR_CAP", cap)
+                assert smallest_dependent_subset(m, 4, budget=budget) == expected, (cap, budget)
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_planted_circuit_goes_to_the_dfs(self, size, monkeypatch):
+        # A circuit of `size` among the last columns of a random tall matrix:
+        # the full pair map shows it, so that level runs its DFS (which calls
+        # `_steps`), finds it, and stops where the oracle stops at every budget.
+        calls = _count_steps(monkeypatch)
+        rng = random.Random(44 + size)
+        for _ in range(6):
+            ncols = rng.randint(size + 2, 9)
+            cols = [rng.getrandbits(24) for _ in range(ncols)]
+            circuit = sorted(rng.sample(range(ncols - 5, ncols), size))
+            cols[circuit[-1]] = 0
+            for j in circuit[:-1]:
+                cols[circuit[-1]] ^= cols[j]
+            m = Gf2Matrix(24, tuple(cols)).transpose()
+            full = oracles.subset_search_dfs(m, ncols, DEFAULT_BUDGET)
+            assert (full.outcome, full.dependent) == (DEPENDENT_FOUND, tuple(circuit))
+            calls.clear()
+            smallest_dependent_subset(m, size - 1)
+            below = len(calls)
+            calls.clear()
+            assert smallest_dependent_subset(m, ncols) == full
+            assert len(calls) > below
+            for budget in range(full.visited + 1):
+                expected = oracles.subset_search_dfs(m, ncols, budget)
+                assert smallest_dependent_subset(m, ncols, budget=budget) == expected, (m, budget)
+
     def test_minimality_of_witness(self):
         m = Gf2Matrix.from01(["1110", "0111"])
         s = smallest_dependent_subset(m, 4)
@@ -384,6 +465,20 @@ class TestSmallestDependentSubset:
                 for c in sub:
                     acc ^= c
                 assert acc != 0
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """Record the argument of every `symplectic._steps` call: each call of
+    the last two DFS levels makes at least one."""
+    calls: list[int] = []
+    steps = symplectic._steps
+
+    def counting(c):
+        calls.append(c)
+        return steps(c)
+
+    monkeypatch.setattr(symplectic, "_steps", counting)
+    return calls
 
 
 def _search_cases():
