@@ -81,9 +81,9 @@ class PauliChannel:
 
 
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
-# table, 2**20 entries, peaks at 129 MB RSS, 40 MB of it the interpreter and
+# table, 2**20 entries, peaks at 113 MB RSS, 40 MB of it the interpreter and
 # numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z mask keys,
-# class key).  Reading its dict view brings the peak to 246 MB, so 2**22 entries
+# class key).  Reading its dict view brings the peak to 236 MB, so 2**22 entries
 # stay near 1 GB even then.
 _MAX_TABLE_ENTRIES = 1 << 22
 

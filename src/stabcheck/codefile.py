@@ -53,6 +53,10 @@ _DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: str.isdigit accepts "²"
 # stops a device such as /dev/zero from being read until memory runs out.
 MAX_CODE_FILE_CHARS = 64 * 2**20
 
+# Characters per read: one read of the whole cap would ask for a 64 MB
+# buffer on every file.
+_READ_PIECE = 2**16
+
 
 class CodeFileError(ValueError):
     """Parse failure with file position; line and column are 1-based or None.
@@ -96,8 +100,13 @@ def parse_code_file(path: str | Path) -> StabilizerCode:
 
 def read_code_file(path: str | Path) -> CodeFile:
     """Parse a code file into a CodeFile without running validation."""
+    pieces: list[str] = []
+    left = MAX_CODE_FILE_CHARS + 1  # one past the cap shows an oversized file
     with open(path) as f:
-        text = f.read(MAX_CODE_FILE_CHARS + 1)
+        while left and (piece := f.read(min(left, _READ_PIECE))):
+            pieces.append(piece)
+            left -= len(piece)
+    text = "".join(pieces)
     if len(text) > MAX_CODE_FILE_CHARS:
         raise CodeFileError(
             f"file is longer than {MAX_CODE_FILE_CHARS} characters", None

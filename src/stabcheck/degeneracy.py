@@ -21,6 +21,12 @@ columns X, Y, Z and I, the I keys 0.  `_error_chunks` lists the errors in
 chunks, as flat indices 4q + a into those tables, `_xor_gather` gathers any
 of them, and the decoder in `channel.run` gathers the sampled errors the
 same way from the tables that the fill leaves in its `DecoderTable`.
+
+The fill finds which errors of a chunk claim a syndrome in one of two ways,
+chosen by n - k alone.  Up to `_OWNER_BITS` generators an int32 array of
+2^(n-k) entries, indexed by syndrome, holds each syndrome's claim number;
+wider codes keep the claimed syndromes in a sorted array, the only layout
+that holds syndromes of any width.  Both give the same table.
 """
 
 from __future__ import annotations
@@ -131,6 +137,11 @@ def alt_error_count(n: int, t: int) -> int:
 # Errors per chunk of a weight level (`_error_chunks`).
 _FILL_CHUNK = 1 << 14
 
+# Codes of up to this many generators claim syndromes in a direct-address
+# int32 array of 2**(n-k) entries: 16 MB at the cap, 4 MB for the [[31,11,5]]
+# code.  Wider syndromes are claimed in a sorted array of the claimed keys.
+_OWNER_BITS = 22
+
 Masks = tuple[int, int]
 
 
@@ -150,13 +161,15 @@ class DecoderTable:
 
     `syndromes` holds the claimed syndromes in ascending order and
     `claimant` the claim of each: its index in `x`, `z` and `classes`,
-    which are in claim order, index 0 the identity's.  `x` and `z` are the
-    claimants' mask keys, qubit j at bit j.  Class keys are those of
-    `_letter_classes`, so two errors with equal syndromes differ by a
-    stabilizer exactly when their class keys agree.  All of them are int64,
-    or Python ints in object arrays past 62 bits.  `letter_syndromes` and
-    `letter_classes` are the per-qubit letter keys the fill gathered them
-    from, kept for decoding.
+    which are in claim order, index 0 the identity's.  The fill's owner
+    array gives `claimant` directly, its sorted array of claimed keys by one
+    argsort of the claim-order syndromes; the arrays are the same either
+    way.  `x` and `z` are the claimants' mask keys, qubit j at bit j.
+    Class keys are those of `_letter_classes`, so two errors with equal
+    syndromes differ by a stabilizer exactly when their class keys agree.
+    All of them are int64, or Python ints in object arrays past 62 bits.
+    `letter_syndromes` and `letter_classes` are the per-qubit letter keys
+    the fill gathered them from, kept for decoding.
     """
 
     checks: tuple[int, ...]
@@ -230,11 +243,16 @@ def fill_syndrome_map(
     the first error in enumeration order that produces it.  The syndromes of
     a chunk of `_error_chunks` (int64, or Python ints in an object array
     past 62 bits) are XOR-gathered from the per-qubit letter syndromes by its
-    index; an unstable sort gives their first occurrences, those not in the
-    sorted array of claimed keys are claimed in order, and only the index
-    rows of the claimants gather mask and class keys.  The fill stops after
-    the chunk in which the map is full (if `full`) and an error has collided
-    (if `collision`).
+    index.  Up to `_OWNER_BITS` generators an int32 `owner` array indexed by
+    syndrome holds each claim's number + 1 (0 while free): the chunk's free
+    errors are those whose owner entry is 0, and one sort of syndrome and
+    position packed into one int64 key gives their first occurrences.  Past
+    that, an unstable sort of the chunk gives the first occurrences, and
+    those not in a sorted array of claimed keys are new.  Either way the new
+    claims are taken in chunk order, and only the index rows of the
+    claimants gather mask and class keys.  The fill stops after the chunk in
+    which the map is full (if `full`) and an error has collided (if
+    `collision`).
 
     Returns (table, first collision or None, syndromes claimed before it or
     None); the table's max_weight is the last weight evaluated.
@@ -243,41 +261,36 @@ def fill_syndrome_map(
     letters = _letter_syndromes(code)
     letter_classes = _letter_classes(code)
     tables = (*_letter_masks(n), letter_classes)  # x, z and class keys
+    owner = claimed = None
+    if code.num_generators <= _OWNER_BITS:
+        owner = np.zeros(total, dtype=np.int32)
+        owner[0] = 1  # the identity's claim
+    else:
+        claimed = np.zeros(1, dtype=letters.dtype)  # claimed syndromes, sorted
     size = 1
-    claimed = np.zeros(1, dtype=letters.dtype)  # claimed syndromes, sorted, in [:size]
     # the claims in claim order, in [:size], the identity's first: syndromes,
     # x, z and class keys
-    claims_by_order = (
-        claimed.copy(),
-        *(np.zeros(1, dtype=keys.dtype) for keys in tables),
+    claims_by_order = tuple(
+        np.zeros(1, dtype=keys.dtype) for keys in (letters, *tables)
     )
     reached, clash, claimed_before = 0, None, None
     for w, idx in _error_chunks(n, max_weight):
         reached = w
         syn = _xor_gather(letters, idx)
-        # first occurrences: heads of the runs of equal sorted syndromes, each
-        # with the least index of its run (the sort need not be stable)
-        by_key = np.argsort(syn)
-        ordered = syn[by_key]
-        head = np.ones(len(syn), dtype=bool)
-        head[1:] = ordered[1:] != ordered[:-1]
-        starts = np.flatnonzero(head)
-        values, first = ordered[starts], np.minimum.reduceat(by_key, starts)
-        keys = claimed[:size]
-        at = np.searchsorted(keys, values)
-        fresh = keys[np.minimum(at, size - 1)] != values
-        values, first, at = values[fresh], first[fresh], at[fresh]
-        end = size + len(values)
-        if len(values):
-            claimed = _merge_sorted(claimed, size, values, at, total)
-            order = np.argsort(first)
-            first = first[order]
-            new = (values[order], *_claims(idx[first], tables))
+        if owner is not None:
+            first = _first_free_owned(owner, syn)
+        else:
+            first, claimed = _first_free_sorted(claimed, syn)
+        end = size + len(first)
+        if len(first):
+            new = (syn[first], *_claims(idx[first], tables))
             claims_by_order = tuple(
                 _reserve(buf, size, end, total) for buf in claims_by_order
             )
             for buf, part in zip(claims_by_order, new):
                 buf[size:end] = part
+            if owner is not None:
+                owner[new[0]] = np.arange(size + 1, end + 1)
         if clash is None:
             # claims come first in the chunk up to its first collision
             pos = int(np.count_nonzero(first == np.arange(len(first))))
@@ -289,13 +302,18 @@ def fill_syndrome_map(
         if (not full or size == total) and (not collision or clash is not None):
             break
     idx = syn = None  # the last chunk's arrays, freed before the copies
+    if owner is not None:
+        syndromes = np.sort(claims_by_order[0][:size])
+        claimant = (owner[syndromes] - 1).astype(np.intp)
+        owner = None
+    else:
+        syndromes, claimant = claimed, np.argsort(claims_by_order[0][:size])
     # trimmed copies: the spare rows of a grown buffer may be resident
-    syn, x, z, classes = (buf[:size].copy() for buf in claims_by_order)
-    claimant = np.argsort(syn)
+    x, z, classes = (buf[:size].copy() for buf in claims_by_order[1:])
     table = DecoderTable(
         code.h.h.rows,
         reached,
-        claimed[:size].copy(),
+        syndromes,
         claimant,
         x,
         z,
@@ -306,7 +324,7 @@ def fill_syndrome_map(
     first_collision = None
     if clash is not None:
         s, (ex, ez, error_class) = clash
-        row = claimant[np.searchsorted(table.syndromes, s)]
+        row = claimant[np.searchsorted(syndromes, s)]
         first_collision = (
             (int(x[row]), int(z[row])),
             (int(ex[0]), int(ez[0])),
@@ -315,20 +333,44 @@ def fill_syndrome_map(
     return table, first_collision, claimed_before
 
 
-def _merge_sorted(
-    buf: np.ndarray, size: int, values: np.ndarray, at: np.ndarray, cap: int
-) -> np.ndarray:
-    """buf[:size] with sorted `values` inserted at positions `at`, in place
-    or in a grown buffer (`_reserve`)."""
-    end = size + len(values)
-    buf = _reserve(buf, size, end, cap)
-    lo = int(at[0])
-    dest = at + np.arange(len(values))
-    moved = np.ones(end - lo, dtype=bool)
-    moved[dest - lo] = False
-    buf[lo:end][moved] = buf[lo:size].copy()
-    buf[dest] = values
-    return buf
+def _first_free_owned(owner: np.ndarray, syn: np.ndarray) -> np.ndarray:
+    """Ascending positions in `syn` of the first occurrences of the
+    syndromes that `owner` holds free (0)."""
+    at = np.flatnonzero(owner[syn] == 0)
+    # syndrome above position: the sorted keys run by syndrome, each run
+    # headed by its least position
+    shift = (len(syn) - 1).bit_length()
+    packed = np.sort(syn[at] << shift | at)
+    keys = packed >> shift
+    head = np.ones(len(packed), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return _in_order(packed[head] & ((1 << shift) - 1), len(syn))
+
+
+def _first_free_sorted(
+    claimed: np.ndarray, syn: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending positions in `syn` of the first occurrences of the
+    syndromes not in the sorted array `claimed`, and `claimed` with them."""
+    # heads of the runs of equal sorted syndromes, each with the least index
+    # of its run (the sort need not be stable)
+    by_key = np.argsort(syn)
+    ordered = syn[by_key]
+    head = np.ones(len(syn), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(head)
+    values, first = ordered[starts], np.minimum.reduceat(by_key, starts)
+    at = np.searchsorted(claimed, values)
+    fresh = claimed[np.minimum(at, len(claimed) - 1)] != values
+    claimed = np.insert(claimed, at[fresh], values[fresh])
+    return _in_order(first[fresh], len(syn)), claimed
+
+
+def _in_order(positions: np.ndarray, size: int) -> np.ndarray:
+    """Distinct positions in 0..size-1, ascending."""
+    mark = np.zeros(size, dtype=bool)
+    mark[positions] = True
+    return np.flatnonzero(mark)
 
 
 def _reserve(buf: np.ndarray, size: int, end: int, cap: int) -> np.ndarray:

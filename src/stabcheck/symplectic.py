@@ -248,7 +248,16 @@ class Gf2Matrix:
         return out
 
     def columns(self) -> list[int]:
-        return [self.column(j) for j in range(self.cols)]
+        """Every column, as `column` gives it, from one pass over the rows'
+        set bits."""
+        cols = [0] * self.cols
+        for i, r in enumerate(self.rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+        return cols
 
     def transpose(self) -> Gf2Matrix:
         return Gf2Matrix(self.nrows, tuple(self.columns()))

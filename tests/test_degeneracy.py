@@ -18,6 +18,7 @@ from stabcheck import (
     StabilizerCode,
     Verdict,
     all_subsets_independent,
+    build_table,
     classify,
     column_bounds,
     css_nondegeneracy,
@@ -346,6 +347,92 @@ class TestWideCodes:
         claims = oracles.claim_syndromes(generator_strings(code), t)
         for exhaustive in (False, True):
             assert_matches_claims(code, t, exhaustive, claims, span=False)
+
+
+@pytest.fixture
+def claim_paths(monkeypatch):
+    """Names of the claim path each chunk of a fill took, in order."""
+    paths = []
+    for name in ("_first_free_owned", "_first_free_sorted"):
+        inner = getattr(degeneracy, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            paths.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(degeneracy, name, counted)
+    return paths
+
+
+class TestClaimPaths:
+    """The owner array and the sorted array of claimed keys fill one map.
+
+    Each code is filled with `_OWNER_BITS` set to its generator count, which
+    takes the owner array, and to one less, which takes the sorted keys."""
+
+    FIELDS = ("syndromes", "claimant", "x", "z", "classes",
+              "letter_syndromes", "letter_classes")
+
+    @staticmethod
+    def run_both(monkeypatch, claim_paths, code, fn):
+        out = []
+        for bits, path in ((0, "_first_free_owned"), (1, "_first_free_sorted")):
+            monkeypatch.setattr(degeneracy, "_OWNER_BITS", code.num_generators - bits)
+            claim_paths.clear()
+            out.append(fn())
+            assert set(claim_paths) == {path}
+        return out
+
+    def assert_paths_agree(self, monkeypatch, claim_paths, code, t):
+        for full, collision in ((True, False), (True, True), (False, True)):
+            owned, keyed = self.run_both(
+                monkeypatch, claim_paths, code,
+                lambda: degeneracy.fill_syndrome_map(code, t, full=full, collision=collision),
+            )
+            (a, *rest_a), (b, *rest_b) = owned, keyed
+            assert rest_a == rest_b  # first collision, claimed before it
+            assert (a.checks, a.max_weight) == (b.checks, b.max_weight)
+            for name in self.FIELDS:
+                u, v = getattr(a, name), getattr(b, name)
+                assert u.dtype == v.dtype, name
+                assert u.tolist() == v.tolist(), name
+        for exhaustive in (False, True):
+            owned, keyed = self.run_both(
+                monkeypatch, claim_paths, code,
+                lambda: classify(code, t, exhaustive=exhaustive),
+            )
+            assert owned == keyed
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 13])
+    def test_fixtures_and_random_codes(self, monkeypatch, claim_paths, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
+        codes = [steane(), shor(), five_qubit(), three_qubit_bit_flip()]
+        codes += draw_codes(12 if chunk == 1 else 30, 6, seed=2020, css_share=0.3)
+        for code in codes:
+            for t in range(1, min(code.n, 4) + 1):
+                self.assert_paths_agree(monkeypatch, claim_paths, code, t)
+
+    def test_bch_weight_three(self, monkeypatch, claim_paths):
+        code = bch_31_11()
+        owned, keyed = self.run_both(
+            monkeypatch, claim_paths, code, lambda: degeneracy.fill_syndrome_map(code, 3)
+        )
+        assert owned[0].covered == 97_000
+        for name in self.FIELDS:
+            assert getattr(owned[0], name).tolist() == getattr(keyed[0], name).tolist()
+
+    @pytest.mark.parametrize("n,path", [(23, "_first_free_owned"), (24, "_first_free_sorted")])
+    def test_repetition_codes_at_and_past_the_cap(self, claim_paths, n, path):
+        code = repetition_code(n)
+        assert code.num_generators - degeneracy._OWNER_BITS == n - 23
+        for w in (1, 2):
+            claim_paths.clear()
+            t = build_table(code, w)
+            assert set(claim_paths) == {path}
+            table, reached = oracles.table_fill(code, w)
+            assert list(t.table.items()) == list(table.items())
+            assert t.max_weight == reached == w
 
 
 def gf2_rank(rows: list[int]) -> int:

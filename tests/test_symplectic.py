@@ -169,6 +169,14 @@ class TestGf2Matrix:
         m = Gf2Matrix.from01(["1011", "0110", "1100"])
         assert m.transpose().transpose() == m
 
+    def test_columns_match_column(self):
+        rng = random.Random(250)
+        shapes = [(0, 0), (0, 5), (4, 0), (1, 1), (3, 70), (70, 3), (65, 65)]
+        shapes += [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(200)]
+        for nrows, cols in shapes:
+            m = Gf2Matrix(cols, tuple(rng.getrandbits(cols) for _ in range(nrows)))
+            assert m.columns() == [m.column(j) for j in range(cols)]
+
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda cols: st.lists(
