@@ -220,10 +220,11 @@ def _sample_letters(
 
     Row t - start is `sample_error(channel, n, _trial_rng(seed, t))`: the
     letter is the number of cumulative masses at or below the uniform,
-    counted on the integer draws against `_integer_thresholds`.
+    counted on the integer draws against `_integer_thresholds`, one
+    comparison per threshold.  The letters are int8.
     """
-    thresholds = _integer_thresholds(channel)
-    return np.searchsorted(thresholds, _uniforms(seed, start, stop, n), side="right")
+    draws = _uniforms(seed, start, stop, n)
+    return sum((draws >= c).view(np.int8) for c in _integer_thresholds(channel))
 
 
 def wilson_interval(

@@ -24,9 +24,12 @@ same way from the tables that the fill leaves in its `DecoderTable`.
 
 The fill finds which errors of a chunk claim a syndrome in one of two ways,
 chosen by n - k alone.  Up to `_OWNER_BITS` generators an int32 array of
-2^(n-k) entries, indexed by syndrome, holds each syndrome's claim number;
-wider codes keep the claimed syndromes in a sorted array, the only layout
-that holds syndromes of any width.  Both give the same table.
+2^(n-k) entries, indexed by syndrome, holds each syndrome's claim number,
+and a scatter-min of positions into it picks each free syndrome's first
+error; its claim buffers are sized once for every claim the fill can make.
+Wider codes keep the claimed syndromes in a sorted array, the only layout
+that holds syndromes of any width, and grow their buffers as claims come.
+Both give the same table.
 """
 
 from __future__ import annotations
@@ -245,13 +248,15 @@ def fill_syndrome_map(
     past 62 bits) are XOR-gathered from the per-qubit letter syndromes by its
     index.  Up to `_OWNER_BITS` generators an int32 `owner` array indexed by
     syndrome holds each claim's number + 1 (0 while free): the chunk's free
-    errors are those whose owner entry is 0, and one sort of syndrome and
-    position packed into one int64 key gives their first occurrences.  Past
-    that, an unstable sort of the chunk gives the first occurrences, and
-    those not in a sorted array of claimed keys are new.  Either way the new
-    claims are taken in chunk order, and only the index rows of the
-    claimants gather mask and class keys.  The fill stops after the chunk in
-    which the map is full (if `full`) and an error has collided (if
+    errors are those whose owner entry is 0, and a scatter-min of their
+    positions into the owner array gives their first occurrences.  Its claim
+    buffers have a row for every syndrome or every error, whichever is
+    fewer, so they never grow.  Past `_OWNER_BITS`, an unstable sort of the
+    chunk gives the first occurrences, those not in a sorted array of
+    claimed keys are new, and the buffers double as they fill.  Either way
+    the new claims are taken in chunk order, and only the index columns of
+    the claimants gather mask and class keys.  The fill stops after the
+    chunk in which the map is full (if `full`) and an error has collided (if
     `collision`).
 
     Returns (table, first collision or None, syndromes claimed before it or
@@ -269,10 +274,15 @@ def fill_syndrome_map(
         claimed = np.zeros(1, dtype=letters.dtype)  # claimed syndromes, sorted
     size = 1
     # the claims in claim order, in [:size], the identity's first: syndromes,
-    # x, z and class keys
+    # x, z and class keys.  np.empty leaves the rows past the claims
+    # untouched; the sorted path starts at one row, since its object
+    # buffers would fill every row with None.
+    rows = min(total, 1 + error_count(n, max_weight)) if owner is not None else 1
     claims_by_order = tuple(
-        np.zeros(1, dtype=keys.dtype) for keys in (letters, *tables)
+        np.empty(rows, dtype=keys.dtype) for keys in (letters, *tables)
     )
+    for buf in claims_by_order:
+        buf[0] = 0
     reached, clash, claimed_before = 0, None, None
     for w, idx in _error_chunks(n, max_weight):
         reached = w
@@ -283,7 +293,8 @@ def fill_syndrome_map(
             first, claimed = _first_free_sorted(claimed, syn)
         end = size + len(first)
         if len(first):
-            new = (syn[first], *_claims(idx[first], tables))
+            # idx's columns are contiguous: gather each on its own
+            new = (syn[first], *_claims(idx.T[:, first].T, tables))
             claims_by_order = tuple(
                 _reserve(buf, size, end, total) for buf in claims_by_order
             )
@@ -308,8 +319,11 @@ def fill_syndrome_map(
         owner = None
     else:
         syndromes, claimant = claimed, np.argsort(claims_by_order[0][:size])
-    # trimmed copies: the spare rows of a grown buffer may be resident
-    x, z, classes = (buf[:size].copy() for buf in claims_by_order[1:])
+    # a full buffer is the table's own array; a copy trims any other, whose
+    # spare rows would stay allocated with it
+    x, z, classes = (
+        buf if len(buf) == size else buf[:size].copy() for buf in claims_by_order[1:]
+    )
     table = DecoderTable(
         code.h.h.rows,
         reached,
@@ -335,16 +349,14 @@ def fill_syndrome_map(
 
 def _first_free_owned(owner: np.ndarray, syn: np.ndarray) -> np.ndarray:
     """Ascending positions in `syn` of the first occurrences of the
-    syndromes that `owner` holds free (0)."""
+    syndromes that `owner` holds free (0).
+
+    Leaves each such syndrome's owner entry at its least position minus
+    len(syn), a negative mark that the caller's claim must overwrite."""
     at = np.flatnonzero(owner[syn] == 0)
-    # syndrome above position: the sorted keys run by syndrome, each run
-    # headed by its least position
-    shift = (len(syn) - 1).bit_length()
-    packed = np.sort(syn[at] << shift | at)
-    keys = packed >> shift
-    head = np.ones(len(packed), dtype=bool)
-    head[1:] = keys[1:] != keys[:-1]
-    return _in_order(packed[head] & ((1 << shift) - 1), len(syn))
+    free, mark = syn[at], (at - len(syn)).astype(owner.dtype)
+    np.minimum.at(owner, free, mark)
+    return at[owner[free] == mark]
 
 
 def _first_free_sorted(
@@ -443,7 +455,9 @@ def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:
             for p in range(0, patterns, _FILL_CHUNK):
                 numbers = np.arange(p, min(p + _FILL_CHUNK, patterns), dtype=np.intp)
                 digits = numbers // place % 3
-                yield w, (4 * block.T[:, :, None] + digits[:, None]).reshape(w, -1).T
+                # C order: the reshape is then a view, not a copy
+                keys = np.add(4 * block.T[:, :, None], digits[:, None], order="C")
+                yield w, keys.reshape(w, -1).T
 
 
 def _claims(idx: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[np.ndarray]:
@@ -656,7 +670,8 @@ def css_nondegeneracy(
     split = css_split(code)
     if split is None:
         return CriterionOutcome.NOT_CSS
-    for block in (split.x_block, split.z_block):
+    # equal blocks give the same search, so an equal Z block is not searched
+    for block in dict.fromkeys((split.x_block, split.z_block)):
         m = min(2 * t, block.cols)
         search = smallest_dependent_subset(block, m, budget=budget)
         if search.outcome == BUDGET_EXHAUSTED:

@@ -116,7 +116,11 @@ def column_bounds(
     split = css_split(code)
     if split is not None:
         x_order, x_exh = max_independence_order(split.x_block, budget=budget)
-        z_order, z_exh = max_independence_order(split.z_block, budget=budget)
+        z_order, z_exh = (
+            (x_order, x_exh)  # equal blocks give the same search
+            if split.z_block == split.x_block
+            else max_independence_order(split.z_block, budget=budget)
+        )
         block_orders = (x_order, z_order)
         blocks_exhausted = x_exh or z_exh
         if not blocks_exhausted:

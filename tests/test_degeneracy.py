@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 import oracles
@@ -433,6 +434,61 @@ class TestClaimPaths:
             table, reached = oracles.table_fill(code, w)
             assert list(t.table.items()) == list(table.items())
             assert t.max_weight == reached == w
+
+
+@pytest.fixture
+def reserve_calls(monkeypatch):
+    """(rows in, rows out) of each `_reserve` call of a fill: the claim
+    buffers' lengths, and a growth wherever the two differ."""
+    calls = []
+    inner = degeneracy._reserve
+
+    def counted(buf, *args):
+        grown = inner(buf, *args)
+        calls.append((len(buf), len(grown)))
+        return grown
+
+    monkeypatch.setattr(degeneracy, "_reserve", counted)
+    return calls
+
+
+class TestClaimBuffers:
+    @pytest.mark.parametrize("length", [1, 7, 2**14])
+    def test_first_free_owned_against_first_occurrences(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            owner = np.zeros(64, dtype=np.int32)
+            owner[rng.choice(64, 24, replace=False)] = rng.integers(1, 100, 24)
+            syn = rng.integers(0, 64, length)
+            before = owner.copy()
+            seen, expected = set(), []
+            for pos, s in enumerate(syn.tolist()):
+                if before[s] == 0 and s not in seen:
+                    seen.add(s)
+                    expected.append(pos)
+            first = degeneracy._first_free_owned(owner, syn)
+            assert first.tolist() == expected
+            # each new syndrome holds its first position, marked negative
+            marks = before.copy()
+            marks[syn[first]] = first - length
+            assert owner.tolist() == marks.tolist()
+
+    def test_owner_path_never_grows(self, reserve_calls):
+        degeneracy.fill_syndrome_map(bch_31_11(), 3)
+        build_table(steane())
+        assert reserve_calls
+        assert all(rows == grown for rows, grown in reserve_calls)
+        # the sorted path grows its buffers as claims come
+        reserve_calls.clear()
+        build_table(repetition_code(24), 2)
+        assert any(rows != grown for rows, grown in reserve_calls)
+
+    def test_wide_witness_within_the_cap(self, reserve_calls):
+        code = repetition_code(66)
+        assert 1 + error_count(66, 4) == 59_633_344
+        assert classify(code, 4).witness is not None
+        assert reserve_calls
+        assert max(map(max, reserve_calls)) <= 1 << degeneracy._OWNER_BITS
 
 
 def gf2_rank(rows: list[int]) -> int:

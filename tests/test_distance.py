@@ -12,6 +12,7 @@ from stabcheck import (
     StabilizerCode,
     classify,
     column_bounds,
+    css_nondegeneracy,
     css_split,
     degeneracy,
     distance,
@@ -30,8 +31,12 @@ from stabcheck import (
 )
 from stabcheck.symplectic import (
     ALL_INDEPENDENT,
+    BUDGET_EXHAUSTED,
     DEFAULT_BUDGET,
+    DEPENDENT_FOUND,
     Gf2Matrix,
+    RowBasis,
+    kernel_basis,
     smallest_dependent_subset,
 )
 
@@ -163,23 +168,52 @@ class TestColumnBounds:
         assert b.exact == 5
         assert b.lower == 5 and b.upper == 5
 
-    def test_bch_criteria_and_bounds_make_six_searches(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return smallest_dependent_subset(*args, **kwargs)
-
-        for module in (degeneracy, distance):
-            monkeypatch.setattr(module, "smallest_dependent_subset", counting)
+    def test_bch_criteria_and_bounds_make_four_searches(self, searched_matrices):
         code = bch_31_11()
         report = classify(code, 2, exhaustive=True, with_criteria=True)
         bounds = column_bounds(code, 2)
-        # classify: the full matrix once (both one-sided criteria) and each
-        # CSS block once; column_bounds: the full matrix and each block once
-        assert len(calls) == 6
+        # classify: the full matrix once (both one-sided criteria) and the
+        # CSS block once; column_bounds: the full matrix and the block once.
+        # BCH's X and Z blocks are equal, so neither searches the Z block.
+        assert len(searched_matrices) == 4
         assert report.criteria["css_blocks"] is CriterionOutcome.NONDEGENERATE
         assert bounds.exact == 5
+
+    def test_distinct_blocks_searched_twice(self, searched_matrices):
+        code = css_state_6_0()
+        split = css_split(code)
+        assert split.x_block != split.z_block
+        assert css_nondegeneracy(code, 1) is CriterionOutcome.NONDEGENERATE
+        assert searched_matrices == [split.x_block, split.z_block]
+        searched_matrices.clear()
+        assert column_bounds(code, 1).block_orders == (2, 2)
+        assert searched_matrices == [code.h.h, split.x_block, split.z_block]
+
+    @pytest.mark.parametrize("budget", [0, 3, 20, DEFAULT_BUDGET])
+    def test_equal_blocks_match_two_searches(self, budget):
+        # the reference searches both blocks, equal or not
+        rng = random.Random(2024)
+        equal = 0
+        for _ in range(40):
+            code = _self_orthogonal_css(rng, rng.randint(4, 10))
+            split = css_split(code)
+            equal += split.x_block == split.z_block
+            for t in range(1, min(code.n, 3) + 1):
+                assert column_bounds(code, t, budget=budget) == (
+                    oracles.column_bounds_by_classify(code, t, budget)
+                )
+                expected = CriterionOutcome.NONDEGENERATE
+                for block in (split.x_block, split.z_block):
+                    m = min(2 * t, block.cols)
+                    search = smallest_dependent_subset(block, m, budget=budget)
+                    if search.outcome == BUDGET_EXHAUSTED:
+                        expected = CriterionOutcome.BUDGET_EXHAUSTED
+                        break
+                    if search.outcome == DEPENDENT_FOUND:
+                        expected = CriterionOutcome.DEGENERATE
+                        break
+                assert css_nondegeneracy(code, t, budget=budget) is expected
+        assert equal == 40
 
     @pytest.mark.parametrize("budget", [0, 3, 20, 200, DEFAULT_BUDGET])
     def test_matches_classify_route(self, budget, monkeypatch):
@@ -330,6 +364,21 @@ class TestRandomConsistency:
 
 
 @pytest.fixture
+def searched_matrices(monkeypatch):
+    """The matrices of the column-subset searches that criteria and bounds
+    run, in order."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return smallest_dependent_subset(*args, **kwargs)
+
+    for module in (degeneracy, distance):
+        monkeypatch.setattr(module, "smallest_dependent_subset", counting)
+    return calls
+
+
+@pytest.fixture
 def searched_levels(monkeypatch):
     """Weight levels `min_distance` hands to the per-support search, in order."""
     levels = []
@@ -455,6 +504,24 @@ def _twisted_bch() -> StabilizerCode:
             ]
         )
     )
+
+
+def _self_orthogonal_css(rng: random.Random, n: int) -> StabilizerCode:
+    """CSS code whose X and Z generators share one random self-orthogonal
+    matrix: even-weight rows drawn from the dual of the rows so far."""
+    rows: list[int] = []
+    basis = RowBasis(n)
+    target = rng.randint(1, n // 2)
+    while len(rows) < target:
+        v = 0
+        for kv in kernel_basis(Gf2Matrix(n, tuple(rows))):
+            if rng.random() < 0.5:
+                v ^= kv.bits
+        if v.bit_count() % 2 == 0 and v and basis.add(v):
+            rows.append(v)
+    gens = [PauliOperator.from_masks(n, r, 0) for r in rows]
+    gens += [PauliOperator.from_masks(n, 0, r) for r in rows]
+    return StabilizerCode(validate(gens))
 
 
 def _bounds_cases():
