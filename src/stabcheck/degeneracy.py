@@ -293,8 +293,8 @@ def fill_syndrome_map(
             first, claimed = _first_free_sorted(claimed, syn)
         end = size + len(first)
         if len(first):
-            # idx's columns are contiguous: gather each on its own
-            new = (syn[first], *_claims(idx.T[:, first].T, tables))
+            # idx's columns are contiguous: take along them, not across
+            new = (syn[first], *_claims(np.take(idx.T, first, axis=1).T, tables))
             claims_by_order = tuple(
                 _reserve(buf, size, end, total) for buf in claims_by_order
             )

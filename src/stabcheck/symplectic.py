@@ -412,12 +412,12 @@ class SubsetSearch:
     `dependent` is None unless outcome == "dependent_found"; when set it is a
     minimal dependent subset (every proper subset is independent), sorted
     ascending.  `visited` counts column insertions, the quantity capped by
-    the budget; the last two DFS levels, answered by lookup, and the sizes
-    settled from the pair map count the insertions their loops would have
-    made.  `verified` is the largest size whose subsets were all found
-    independent: max_size when all_independent, one less than the witness
-    size when dependent_found, and the last size searched to the end when
-    the budget ran out.
+    the budget; the lookups that stand in for the last two DFS levels and
+    for size 1, and the sizes settled from the pair map, count the
+    insertions their loops would have made.  `verified` is the largest size
+    whose subsets were all found independent: max_size when all_independent,
+    one less than the witness size when dependent_found, and the last size
+    searched to the end when the budget ran out.
     """
 
     outcome: str
@@ -439,19 +439,19 @@ def smallest_dependent_subset(
     exceeds it.  A negative budget is rejected; a zero budget stops before
     the first visit.
 
-    The last two DFS levels go by lookup.  With every smaller size free of
-    circuits, they stop at the colex-first pair (c, j), j < c, below their
-    bound whose XOR cols[c] ^ cols[j] lies in the span of the columns chosen
-    above them.  A map from that XOR to the colex-first pair answers this
-    with one lookup per span vector.  All sizes share the map; it grows
-    column by column, never past the column at which the budget runs out,
-    and holds at most `_PAIR_CAP` pairs.  Columns it does not cover, and
-    size 2 (whose span is {0}), are looked up one coset at a time in a map
-    from column value to first index.  The span is carried down the DFS
-    while it has no more vectors than the matrix has columns; wider levels,
-    and size 1, keep a `reduce` per column.  `visited` still counts the
-    column insertions that the two levels' loops would make, and a budget
-    stop falls where theirs would.
+    No residue is taken.  With every smaller size free of circuits, s chosen
+    columns close a circuit only if the XOR of all of them is 0: the XOR of
+    a proper subset is never 0.  So the DFS carries one int down, the XOR
+    `acc` of the columns chosen so far, and the last two levels go by
+    lookup: they stop at the colex-first pair (c, j), j < c, below their
+    bound with cols[c] ^ cols[j] == acc.  A map from a pair's XOR to its
+    colex-first pair answers this with one lookup.  All sizes share the map;
+    it grows column by column, never past the column at which the budget
+    runs out, and holds at most `_PAIR_CAP` pairs.  Columns it does not
+    cover, and size 2 (where acc is 0), take one lookup each in a map from
+    column value to first index, and size 1 one lookup of the zero column
+    there.  `visited` still counts the column insertions that the loops
+    would make, and a budget stop falls where theirs would.
 
     Circuit-free sizes 3 and 4 are settled from the full pair map, with no
     DFS: with no smaller circuit, a 3-circuit is a pair whose XOR is a
@@ -506,40 +506,38 @@ def smallest_dependent_subset(
         visited += steps
         return True
 
-    def last_two(
-        bound: int, span: list[int], chosen: list[int]
-    ) -> tuple[int, ...] | None:
+    def last_two(bound: int, acc: int) -> tuple[int, ...] | None:
         # Under column c (c < bound) the last level's loop would stop at the
-        # first j < c in the span of chosen + [c].  The span of `chosen` alone
-        # cannot hold one (that would close a smaller circuit), so the hit is
-        # the colex-first pair (c, j) with cols[c] ^ cols[j] in the span.
+        # first j < c with cols[c] ^ cols[j] in the span of the chosen columns.
+        # With every smaller size circuit-free, that XOR can only be `acc`,
+        # the XOR of all of them (a proper subset's would close a smaller
+        # circuit), so the hit is the colex-first pair (c, j) with that XOR.
         # Finishing column c costs 1 + c visits, a hit at (c, j) j + 2.
-        nonlocal visited, mapped
+        nonlocal visited
         left = budget - visited
-        # a span of {0} alone (size 2) costs one coset lookup per column, less
-        # than mapping the column's pairs, and comes only once
+        # acc is 0 only at size 2, which costs one coset lookup per column,
+        # less than mapping the column's pairs, and comes only once
         while (
-            len(span) > 1
+            acc
             and mapped < bound
             and _steps(mapped) + 2 <= left
             and len(pairs) + mapped <= _PAIR_CAP
         ):
             map_column()
         end = bound * ncols
-        hit = min(map(pairs.__getitem__, pairs.keys() & span), default=end)
+        hit = pairs.get(acc, end)
         if hit >= end:
             for c in range(mapped, bound):
                 if _steps(c) + 2 > left:
                     break
-                # past the map: the least index in the coset of cols[c]
-                col = cols[c]
-                j = min(map(first.__getitem__, first.keys() & [u ^ col for u in span]))
+                # past the map: the first column equal to acc ^ cols[c]
+                j = first.get(acc ^ cols[c], c)
                 if j < c:
                     hit = c * ncols + j
                     break
         if hit < end:
             c, j = divmod(hit, ncols)
-            steps, found = _steps(c) + j + 2, tuple(sorted(chosen + [c, j]))
+            steps, found = _steps(c) + j + 2, (j, c)
         else:
             steps, found = _steps(bound), None
         if steps > left:
@@ -548,63 +546,41 @@ def smallest_dependent_subset(
         visited += steps
         return found
 
-    def by_lookup(
-        bound: int, depth: int, chosen: list[int], span: list[int]
-    ) -> tuple[int, ...] | None:
-        # The DFS of `extend` below, with the span of `chosen` in place of
-        # the basis, down to the last two levels.
+    def by_lookup(bound: int, depth: int, acc: int) -> tuple[int, ...] | None:
+        # Colex DFS: choose the largest column first and iterate it
+        # ascending, so subsets complete in colex order and the first hit is
+        # the colex-least circuit of this size.  `acc` is the XOR of the
+        # columns chosen above; no residue is taken, because no subset of
+        # them can be dependent before the last level.  A hit comes back
+        # ascending, each column below the one chosen above it.
         nonlocal visited
         for c in range(depth - 1, bound):
             if visited >= budget:
                 raise _BudgetExhausted
             visited += 1
-            col = cols[c]
-            wider = span + [u ^ col for u in span]
             if depth > 3:
-                hit = by_lookup(c, depth - 1, chosen + [c], wider)
+                hit = by_lookup(c, depth - 1, acc ^ cols[c])
             else:
-                hit = last_two(c, wider, chosen + [c])
+                hit = last_two(c, acc ^ cols[c])
             if hit is not None:
-                return hit
+                return hit + (c,)
         return None
 
     def search_level(size: int) -> tuple[int, ...] | None:
-        # Colex DFS: choose the largest element first and iterate it
-        # ascending, so subsets complete in colex order and the first hit is
-        # the colex-least circuit of this size.  Zero residues cannot occur
-        # at interior depths because every smaller size was exhausted first.
         nonlocal visited
-        basis = RowBasis(m.nrows)
-        reduce, pivots = basis.reduce, basis._pivot_rows
-
-        def extend(bound: int, depth: int, chosen: list[int]) -> tuple[int, ...] | None:
-            nonlocal visited
-            for c in range(depth - 1, bound):
-                if visited >= budget:
-                    raise _BudgetExhausted
-                visited += 1
-                res = reduce(cols[c])
-                if res == 0:
-                    return tuple(sorted(chosen + [c]))
-                if depth > 1:
-                    key = res.bit_length() - 1
-                    pivots[key] = res
-                    hit = extend(c, depth - 1, chosen + [c])
-                    del pivots[key]
-                    if hit is not None:
-                        return hit
-            return None
-
-        # A depth-2 call costs one lookup per span vector (2^(size - 2)), the
-        # loop one reduce per visit; past a span of about one vector per
-        # column the loop is as fast on narrow matrices.
+        if size == 1:
+            # the first size: visit the columns up to the first zero one
+            j = first.get(0, ncols)
+            visited = min(j + 1, ncols)
+            if visited > budget:
+                visited = budget
+                raise _BudgetExhausted
+            return (j,) if j < ncols else None
         if size == 2:
-            return last_two(ncols, [0], [])
+            return last_two(ncols, 0)
         if size in (3, 4) and settled(size):
             return None
-        if size > 2 and 1 << (size - 2) <= ncols:
-            return by_lookup(ncols, size, [], [0])
-        return extend(ncols, size, [])
+        return by_lookup(ncols, size, 0)
 
     verified = 0
     try:

@@ -23,6 +23,7 @@ from stabcheck.symplectic import (
     PauliOperator,
     PauliParseError,
     RowBasis,
+    SubsetSearch,
     commutes,
     gf2_invert,
     kernel_basis,
@@ -291,7 +292,8 @@ class TestSmallestDependentSubset:
         # Every field, budget stops included, against the column-by-column
         # DFS.  Budgets equal to the unbudgeted visit count and one less put
         # a stop on either side of the last visit; identity(14) at size 14
-        # runs levels too wide for the span lookup.
+        # runs the lookup DFS 12 levels deep, where the XOR of the chosen
+        # columns stands for a span of 2^12 vectors.
         cases = 0
         for m, sizes in _search_cases():
             for max_size in sizes:
@@ -325,6 +327,61 @@ class TestSmallestDependentSubset:
                 got = smallest_dependent_subset(m, ncols, budget=budget)
                 assert got == expected, (m, budget)
         assert deep >= 10
+
+    def test_deep_levels_match_dfs_oracle(self, monkeypatch):
+        # Sizes with 2^(size - 2) > ncols: a 6- to 9-circuit planted among 8
+        # to 14 random columns, with the pair map off, partial and whole.
+        # Below the unbudgeted visit count the oracle stops at the budget,
+        # keeping the sizes it finished; that rule gives the expected value
+        # at every budget from 0 to the visit count (at the probes alone past
+        # 12 columns), and the oracle itself is run at the probes: the
+        # budgets around each size's end and 20 more.
+        rng = random.Random(45)
+        cases = [(8, 6), (8, 8), (9, 7), (9, 9), (10, 8), (12, 6), (14, 6), (14, 7)]
+        for ncols, size in cases:
+            assert 1 << (size - 2) > ncols
+            cols = [rng.getrandbits(24) for _ in range(ncols)]
+            circuit = sorted(rng.sample(range(ncols), size))
+            cols[circuit[-1]] = 0
+            for j in circuit[:-1]:
+                cols[circuit[-1]] ^= cols[j]
+            m = Gf2Matrix(24, tuple(cols)).transpose()
+            full = oracles.subset_search_dfs(m, ncols, DEFAULT_BUDGET)
+            assert (full.outcome, full.dependent) == (DEPENDENT_FOUND, tuple(circuit))
+            ends = [oracles.subset_search_dfs(m, k, DEFAULT_BUDGET).visited for k in range(1, size)]
+
+            def expected(budget):
+                if budget >= full.visited:
+                    return full
+                return SubsetSearch(BUDGET_EXHAUSTED, None, budget, sum(e <= budget for e in ends))
+
+            probes = {e + d for e in ends + [full.visited] for d in (-1, 0, 1)}
+            probes |= set(rng.sample(range(full.visited), 20))
+            for budget in sorted(probes):
+                assert oracles.subset_search_dfs(m, ncols, budget) == expected(budget), budget
+            budgets = range(full.visited + 1) if ncols <= 12 else sorted(probes)
+            for cap in (0, 20, symplectic._PAIR_CAP):
+                monkeypatch.setattr(symplectic, "_PAIR_CAP", cap)
+                for budget in budgets:
+                    got = smallest_dependent_subset(m, ncols, budget=budget)
+                    assert got == expected(budget), (m, cap, budget)
+
+    def test_zero_column_at_every_budget(self):
+        # Size 1 is one lookup of the zero column; it must still stop where
+        # the column-by-column loop stops.
+        rng = random.Random(46)
+        for _ in range(20):
+            ncols = rng.randint(1, 9)
+            cols = [rng.randrange(1, 1 << 6) for _ in range(ncols)]
+            cols[rng.randrange(ncols)] = 0
+            if rng.random() < 0.5:
+                cols[rng.randrange(ncols)] = 0
+            m = Gf2Matrix(6, tuple(cols)).transpose()
+            for max_size in {1, ncols}:
+                for budget in range(ncols + 1):
+                    expected = oracles.subset_search_dfs(m, max_size, budget)
+                    got = smallest_dependent_subset(m, max_size, budget=budget)
+                    assert got == expected, (m, max_size, budget)
 
     def test_pair_cap_is_invisible(self, monkeypatch):
         # Below the cap the last two levels go by the pair map, past it by
