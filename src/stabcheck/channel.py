@@ -13,12 +13,10 @@ each trial the same words as `np.random.Generator(np.random.Philox(key=[seed,
 trial])).random(n)`, so the errors are those of the per-trial reference
 `sample_error(channel, n, _trial_rng(seed, trial))`.  The chunk is decoded
 in numpy too: each trial's letters (X, Y, Z, I) come straight from its
-draws, kept as 53-bit integers and counted against integer thresholds, its
-syndrome and logical class key are XOR-gathered at 4q + a from the
-(qubit, letter) tables that the fill left in the `DecoderTable`, a
-`searchsorted` over the table's sorted syndromes finds the claimant, and
-the trial fails when the syndrome is uncovered or the class keys differ (in
-strict mode: when the x or z mask keys differ).
+draws, kept as 53-bit integers and counted against integer thresholds, and
+the trial fails unless `degeneracy._decoded`, the one decode test, passes
+its flat indices 4q + a: its syndrome is covered and its claimant's logical
+class key equals its own (in strict mode: its x and z mask keys do).
 """
 
 from __future__ import annotations
@@ -30,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import (
-    DecoderTable,
-    _letter_masks,
-    _xor_gather,
-    error_count,
-    fill_syndrome_map,
-)
+from .degeneracy import DecoderTable, _decoded, error_count, fill_syndrome_map
 from .stabilizer import StabilizerCode
 from .symplectic import PauliOperator
 
@@ -81,7 +73,7 @@ class PauliChannel:
 
 
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
-# table, 2**20 entries, peaks at 113 MB RSS, 40 MB of it the interpreter and
+# table, 2**20 entries, peaks at 97 MB RSS, 40 MB of it the interpreter and
 # numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z mask keys,
 # class key).  Reading its dict view brings the peak to 236 MB, so 2**22 entries
 # stay near 1 GB even then.
@@ -267,22 +259,11 @@ def _run_range(
 ) -> int:
     n = table.n
     qubits = np.arange(n)
-    # strict: the error is its claimant (same x and z); else: they share a class
-    if strict:
-        letter_keys, kept = _letter_masks(n), (table.x, table.z)
-    else:
-        letter_keys, kept = (table.letter_classes,), (table.classes,)
-    keys, last = table.syndromes, table.covered - 1
     step = max(1, _CHUNK_WORDS // -(-n // 4))
     failures = 0
     for a in range(start, stop, step):
         at = 4 * qubits + _sample_letters(channel, n, seed, a, min(a + step, stop))
-        syn = _xor_gather(table.letter_syndromes, at)
-        row = np.minimum(np.searchsorted(keys, syn), last)
-        claimant = table.claimant[row]
-        ok = keys[row] == syn
-        for letters, claimed in zip(letter_keys, kept):
-            ok &= claimed[claimant] == _xor_gather(letters, at)
+        ok, _ = _decoded(table, at, strict)
         failures += len(ok) - int(np.count_nonzero(ok))
     return failures
 

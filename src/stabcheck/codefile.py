@@ -115,7 +115,7 @@ def read_code_file(path: str | Path) -> CodeFile:
 
     label: str | None = None
     distance: int | None = None
-    body: list[tuple[int, str]] = []
+    body: list[tuple[int, int, str]] = []  # line, offset in it, stripped text
 
     for lineno, raw in enumerate(lines, start=1):
         comment = None
@@ -141,12 +141,12 @@ def read_code_file(path: str | Path) -> CodeFile:
                     distance = int(value)
                 continue
         if stripped:
-            body.append((lineno, stripped))
+            body.append((lineno, len(raw) - len(raw.lstrip()), stripped))
 
     if not body:
         raise CodeFileError("no generators found", max(len(lines), 1))
 
-    first_line, first = body[0]
+    first_line, _, first = body[0]
     header = _HEADER_RE.match(first)
     if header is not None:
         return _parse_binary(header, body, label, distance, first_line)
@@ -154,15 +154,16 @@ def read_code_file(path: str | Path) -> CodeFile:
 
 
 def _parse_pauli(
-    body: list[tuple[int, str]], label: str | None, distance: int | None
+    body: list[tuple[int, int, str]], label: str | None, distance: int | None
 ) -> CodeFile:
     gens: list[PauliOperator] = []
     n: int | None = None
-    for lineno, line in body:
+    for lineno, offset, line in body:
         try:
             p = pauli_from_string(line)
         except PauliParseError as exc:
-            raise CodeFileError(str(exc), lineno, exc.position) from exc
+            col = None if exc.position is None else offset + exc.position
+            raise CodeFileError(str(exc), lineno, col) from exc
         if n is None:
             n = p.n
         elif p.n != n:
@@ -176,7 +177,7 @@ def _parse_pauli(
 
 def _parse_binary(
     header: re.Match[str],
-    body: list[tuple[int, str]],
+    body: list[tuple[int, int, str]],
     label: str | None,
     distance: int | None,
     header_line: int,
@@ -194,18 +195,19 @@ def _parse_binary(
             data[-1][0] if data else header_line,
         )
     gens: list[PauliOperator] = []
-    for lineno, line in data:
-        tokens = line.split()
-        if len(tokens) == 2 * n + 1 and tokens[n] == "|":
+    for lineno, offset, line in data:
+        # the tokens of line.split(), each with its offset
+        tokens = [(m.group(), m.start()) for m in re.finditer(r"\S+", line)]
+        if len(tokens) == 2 * n + 1 and tokens[n][0] == "|":
             del tokens[n]
         if len(tokens) != 2 * n:
             raise CodeFileError(
                 f"expected {2 * n} bits, found {len(tokens)} tokens", lineno
             )
         bits: list[int] = []
-        for tok in tokens:
+        for tok, start in tokens:
             if tok not in ("0", "1"):
-                col = line.index(tok) + 1
+                col = offset + start + 1
                 raise CodeFileError(f"bit must be 0 or 1, got {tok!r}", lineno, col)
             bits.append(int(tok))
         x = sum(b << i for i, b in enumerate(bits[:n]))

@@ -18,9 +18,11 @@ syndrome, the x and z masks of an error and its class key are each one XOR
 of per-qubit keys of its letters, all held alike: int64 up to 62 bits,
 Python ints in object arrays past that.  Each (qubit, letter) table has the
 columns X, Y, Z and I, the I keys 0.  `_error_chunks` lists the errors in
-chunks, as flat indices 4q + a into those tables, `_xor_gather` gathers any
-of them, and the decoder in `channel.run` gathers the sampled errors the
-same way from the tables that the fill leaves in its `DecoderTable`.
+chunks, as flat indices 4q + a into those tables, and `_xor_gather` gathers
+any of them.  `_decoded` is the one decode test: does a `DecoderTable`
+decode each of a batch of errors so given?  `channel.run` asks it of sampled
+errors, and `classify` of its first collision, whose product with the
+claimant is in the stabilizer exactly when the table decodes it.
 
 The fill finds which errors of a chunk claim a syndrome in one of two ways,
 chosen by n - k alone.  Up to `_OWNER_BITS` generators an int32 array of
@@ -39,7 +41,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -232,14 +234,9 @@ class DecoderTable:
         return table
 
 
-# The first collision of a fill: claimant masks, error masks, and whether
-# their product is in the stabilizer.
-Collision = tuple[Masks, Masks, bool]
-
-
 def fill_syndrome_map(
     code: StabilizerCode, max_weight: int, *, full: bool = True, collision: bool = False
-) -> tuple[DecoderTable, Collision | None, int | None]:
+) -> tuple[DecoderTable, tuple[int, ...] | None, int | None]:
     """Syndrome -> error map of the errors of weight 1..max_weight.
 
     The identity claims the zero syndrome; every other syndrome is kept by
@@ -259,8 +256,9 @@ def fill_syndrome_map(
     chunk in which the map is full (if `full`) and an error has collided (if
     `collision`).
 
-    Returns (table, first collision or None, syndromes claimed before it or
-    None); the table's max_weight is the last weight evaluated.
+    Returns (table, the index row of the first error to collide or None,
+    syndromes claimed before it or None); the table's max_weight is the last
+    weight evaluated.
     """
     n, total = code.n, 1 << code.num_generators
     letters = _letter_syndromes(code)
@@ -306,8 +304,7 @@ def fill_syndrome_map(
             # claims come first in the chunk up to its first collision
             pos = int(np.count_nonzero(first == np.arange(len(first))))
             if pos < len(syn):
-                error = _claims(idx[pos : pos + 1], tables)
-                clash = (syn[pos], error)
+                clash = tuple(idx[pos].tolist())
                 claimed_before = size - 1 + pos
         size = end
         if (not full or size == total) and (not collision or clash is not None):
@@ -325,26 +322,10 @@ def fill_syndrome_map(
         buf if len(buf) == size else buf[:size].copy() for buf in claims_by_order[1:]
     )
     table = DecoderTable(
-        code.h.h.rows,
-        reached,
-        syndromes,
-        claimant,
-        x,
-        z,
-        classes,
-        letters,
-        letter_classes,
+        code.h.h.rows, reached, syndromes, claimant, x, z, classes,
+        letters, letter_classes
     )
-    first_collision = None
-    if clash is not None:
-        s, (ex, ez, error_class) = clash
-        row = claimant[np.searchsorted(syndromes, s)]
-        first_collision = (
-            (int(x[row]), int(z[row])),
-            (int(ex[0]), int(ez[0])),
-            bool(classes[row] == error_class[0]),
-        )
-    return table, first_collision, claimed_before
+    return table, clash, claimed_before
 
 
 def _first_free_owned(owner: np.ndarray, syn: np.ndarray) -> np.ndarray:
@@ -375,14 +356,7 @@ def _first_free_sorted(
     at = np.searchsorted(claimed, values)
     fresh = claimed[np.minimum(at, len(claimed) - 1)] != values
     claimed = np.insert(claimed, at[fresh], values[fresh])
-    return _in_order(first[fresh], len(syn)), claimed
-
-
-def _in_order(positions: np.ndarray, size: int) -> np.ndarray:
-    """Distinct positions in 0..size-1, ascending."""
-    mark = np.zeros(size, dtype=bool)
-    mark[positions] = True
-    return np.flatnonzero(mark)
+    return np.sort(first[fresh]), claimed
 
 
 def _reserve(buf: np.ndarray, size: int, end: int, cap: int) -> np.ndarray:
@@ -396,37 +370,36 @@ def _reserve(buf: np.ndarray, size: int, end: int, cap: int) -> np.ndarray:
     return grown
 
 
-def _key_dtype(bits: int) -> type:
-    """int64 for keys of up to 62 bits, Python ints in object arrays past that."""
-    return object if bits > 62 else np.int64
+def _letter_table(
+    x_keys: Sequence[int], z_keys: Sequence[int], bits: int
+) -> np.ndarray:
+    """Row q: the keys of X, Y, Z and I on qubit q, from the keys of X and Z
+    on it (Y's is their XOR, I's 0); int64 up to 62 bits, Python ints in an
+    object array past that."""
+    rows = [(xk, xk ^ zk, zk, 0) for xk, zk in zip(x_keys, z_keys)]
+    return np.array(rows, dtype=object if bits > 62 else np.int64)
 
 
 def _letter_syndromes(code: StabilizerCode) -> np.ndarray:
-    """Row q: the syndromes of X, Y, Z and I on qubit q, int64 up to 62 bits."""
+    """The (qubit, letter) table of syndromes."""
     sm = code.syndrome_matrices
-    rows = [(b, b ^ p, p, 0) for b, p in zip(sm.bsm.rows, sm.psm.rows)]
-    return np.array(rows, dtype=_key_dtype(code.num_generators))
+    return _letter_table(sm.bsm.rows, sm.psm.rows, code.num_generators)
 
 
 def _letter_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x table, then the z table: row q holds the masks of X, Y, Z and I
-    on qubit q, int64 up to 62 qubits."""
-    dtype = _key_dtype(n)
-    x = np.array([(1 << q, 1 << q, 0, 0) for q in range(n)], dtype=dtype)
-    z = np.array([(0, 1 << q, 1 << q, 0) for q in range(n)], dtype=dtype)
-    return x, z
+    """The (qubit, letter) tables of x masks, then of z masks."""
+    ones, zeros = [1 << q for q in range(n)], [0] * n
+    return _letter_table(ones, zeros, n), _letter_table(zeros, ones, n)
 
 
 def _letter_classes(code: StabilizerCode) -> np.ndarray:
-    """Row q: the class keys of X, Y, Z and I on qubit q.
+    """The (qubit, letter) table of class keys.
 
     Bit j of a key is the symplectic product with `code._logicals[j]`, so X
     on q reads column n + q of the logicals (their Z part), Z column q.
     """
-    n = code.n
-    cols = Gf2Matrix(2 * n, code._logicals).columns()
-    rows = [(cols[n + q], cols[n + q] ^ cols[q], cols[q], 0) for q in range(n)]
-    return np.array(rows, dtype=_key_dtype(2 * code.k))
+    cols = Gf2Matrix(2 * code.n, code._logicals).columns()
+    return _letter_table(cols[code.n :], cols[: code.n], 2 * code.k)
 
 
 def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -474,6 +447,32 @@ def _xor_gather(keys: np.ndarray, at: np.ndarray) -> np.ndarray:
     for j in range(1, at.shape[1]):
         out ^= flat[at[:, j]]
     return out
+
+
+def _decoded(
+    table: DecoderTable, at: np.ndarray, strict: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether `table` decodes each error, one error per row of `at`
+    (entries 4q + a, as in `_xor_gather`), and each row's claimant: the
+    index in x, z and classes of the error the table keeps for the row's
+    syndrome, meaningful only where that syndrome is covered.
+
+    An error is decoded when its syndrome is covered and the claimant's
+    class key equals its own, so that the two differ by a stabilizer; if
+    `strict`, when the claimant's x and z mask keys equal its own.
+    """
+    keys = table.syndromes
+    syn = _xor_gather(table.letter_syndromes, at)
+    row = np.minimum(np.searchsorted(keys, syn), len(keys) - 1)
+    claimant = table.claimant[row]
+    ok = keys[row] == syn
+    if strict:
+        kept = zip(_letter_masks(table.n), (table.x, table.z))
+    else:
+        kept = [(table.letter_classes, table.classes)]
+    for letters, claimed in kept:
+        ok &= claimed[claimant] == _xor_gather(letters, at)
+    return ok, claimant
 
 
 @dataclass(frozen=True)
@@ -541,11 +540,14 @@ def classify(
     )
     witness: CollisionWitness | None = None
     if collision is not None:
-        (fx, fz), (x, z), same_class = collision
+        # the claimant has the error's syndrome: decoded means same class
+        at = np.array([collision])
+        same_class, (c,) = _decoded(table, at)
+        x, z = _claims(at, _letter_masks(n))
         witness = CollisionWitness(
-            first=PauliOperator.from_masks(n, fx, fz),
-            second=PauliOperator.from_masks(n, x, z),
-            product_in_stabilizer=same_class,
+            first=PauliOperator.from_masks(n, int(table.x[c]), int(table.z[c])),
+            second=PauliOperator.from_masks(n, int(x[0]), int(z[0])),
+            product_in_stabilizer=bool(same_class[0]),
         )
     verdict = Verdict.NONDEGENERATE if witness is None else Verdict.DEGENERATE
     criteria: dict[str, CriterionOutcome] = {

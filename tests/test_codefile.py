@@ -161,6 +161,21 @@ class TestErrors:
         assert exc.value.line == 2
         assert exc.value.column == 5
 
+    # columns count from the start of the file's line, not of its text
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("n=2 rows=1\n   0 0 1 2\n", 2, 10),
+            ("   XQ\n", 1, 5),
+            ("n=2 rows=1\n0 0 | 1 |\n", 2, 9),  # the second "|", not the first
+        ],
+    )
+    def test_column_counts_leading_blanks_and_repeats(self, tmp_path, text, line, column):
+        with pytest.raises(CodeFileError) as exc:
+            read_code_file(write(tmp_path, text))
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value).startswith(f"line {line}, char {column}:")
+
     def test_binary_wrong_token_count(self, tmp_path):
         with pytest.raises(CodeFileError, match="expected 4 bits"):
             read_code_file(write(tmp_path, "n=2 rows=1\n1 0 0\n"))

@@ -38,6 +38,7 @@ from stabcheck import (
     standard_form_shortcut,
     steane,
     sufficient_nondegenerate,
+    syndrome_direct,
     three_qubit_bit_flip,
 )
 from stabcheck import degeneracy
@@ -582,6 +583,75 @@ class TestClassKeys:
                         assert same == (oracles.multiply(a, b) in group)
                         seen.add((same, a == b))
         assert seen == {(True, True), (True, False), (False, False)}
+
+
+class TestDecoded:
+    """`_decoded` on the fill's own index rows (w entries, no I), against an
+    oracle per error: the table decodes an error when its syndrome is in the
+    dict view and the residual, the error times that entry, is I (strict)
+    or a stabilizer."""
+
+    @staticmethod
+    def assert_matches_oracle(code, table, max_weight, in_stabilizer):
+        """Check every error of weight 1..max_weight; returns the outcomes
+        seen, each (covered, decoded, decoded when strict)."""
+        n, seen = code.n, set()
+        for _, idx in degeneracy._error_chunks(n, max_weight):
+            expected, claims = [], []
+            for row in idx.tolist():
+                chars = ["I"] * n
+                for e in row:
+                    chars[e >> 2] = "XYZ"[e & 3]
+                error = "".join(chars)
+                s = syndrome_direct(code, pauli_from_string(error)).bits.bits
+                rep = table.table.get(s)
+                claims.append(rep)
+                if rep is None:
+                    expected.append((False, False, False))
+                    continue
+                masks = pauli_to_string(PauliOperator.from_masks(n, *rep))
+                residual = oracles.multiply(error, masks)
+                expected.append((True, in_stabilizer(residual), residual == "I" * n))
+            loose, claimant = degeneracy._decoded(table, idx)
+            strict, _ = degeneracy._decoded(table, idx, strict=True)
+            assert list(zip(loose.tolist(), strict.tolist())) == [
+                e[1:] for e in expected
+            ]
+            for c, rep in zip(claimant.tolist(), claims):
+                if rep is not None:
+                    assert (int(table.x[c]), int(table.z[c])) == rep
+            seen.update(expected)
+        return seen
+
+    def test_fixtures_and_random_codes(self):
+        codes = [steane(), shor(), five_qubit(), three_qubit_bit_flip()]
+        codes += draw_codes(30, 6, seed=3030, css_share=0.3)
+        seen, partial = set(), 0
+        for code in codes:
+            group = oracles.span(generator_strings(code))
+            for max_weight in (1, None):
+                table = build_table(code, max_weight)
+                partial += not table.full
+                w = min(code.n, 3)
+                seen |= self.assert_matches_oracle(code, table, w, group.__contains__)
+        assert partial > 0
+        assert seen == {
+            (False, False, False),  # uncovered
+            (True, False, False),  # another class
+            (True, True, False),  # off by a stabilizer other than I
+            (True, True, True),  # the claimant itself
+        }
+
+    def test_object_dtype_code(self):
+        code = repetition_code(64)
+        table = build_table(code, 1)
+        assert table.syndromes.dtype == table.x.dtype == object
+
+        def even_z(p):  # the stabilizers of the ZZ chain
+            return set(p) <= {"I", "Z"} and p.count("Z") % 2 == 0
+
+        seen = self.assert_matches_oracle(code, table, 2, even_z)
+        assert (True, True, False) in seen  # Z_i Z_j, decoded by the identity
 
 
 class TestColumnCriteria:
