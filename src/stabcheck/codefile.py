@@ -163,7 +163,7 @@ def _parse_pauli(
             p = pauli_from_string(line)
         except PauliParseError as exc:
             col = None if exc.position is None else offset + exc.position
-            raise CodeFileError(str(exc), lineno, col) from exc
+            raise CodeFileError(exc.reason, lineno, col) from exc
         if n is None:
             n = p.n
         elif p.n != n:

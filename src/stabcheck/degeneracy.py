@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterator, Mapping, Sequence
@@ -386,10 +386,15 @@ def _letter_syndromes(code: StabilizerCode) -> np.ndarray:
     return _letter_table(sm.bsm.rows, sm.psm.rows, code.num_generators)
 
 
+@cache
 def _letter_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (qubit, letter) tables of x masks, then of z masks."""
+    """The (qubit, letter) tables of x masks, then of z masks; built once
+    per n and read-only, since every caller shares them."""
     ones, zeros = [1 << q for q in range(n)], [0] * n
-    return _letter_table(ones, zeros, n), _letter_table(zeros, ones, n)
+    tables = _letter_table(ones, zeros, n), _letter_table(zeros, ones, n)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _letter_classes(code: StabilizerCode) -> np.ndarray:

@@ -85,13 +85,19 @@ def max_independence_order(
 
     Returns (order, budget_exhausted).  On exhaustion the order is the
     largest size fully verified, a valid lower bound for the true order.
+    The rank comes from one elimination of `m`; `column_bounds` and
+    `min_distance` skip it, since they know the ranks of their matrices.
     """
+    return _independence_order(m, row_reduce(m).rank, budget)
+
+
+def _independence_order(m: Gf2Matrix, rank: int, budget: int) -> tuple[int, bool]:
+    """`max_independence_order` of `m`, given its rank."""
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
-    red = row_reduce(m)
-    if red.rank == m.cols:
+    if rank == m.cols:
         return m.cols, False
-    search = smallest_dependent_subset(m, red.rank + 1, budget=budget)
+    search = smallest_dependent_subset(m, rank + 1, budget=budget)
     # rank < cols guarantees some (rank+1)-subset is dependent, so the search
     # cannot come back all_independent; only the budget stops it.
     assert search.outcome != ALL_INDEPENDENT
@@ -101,10 +107,16 @@ def max_independence_order(
 def column_bounds(
     code: StabilizerCode, t: int, *, budget: int = DEFAULT_BUDGET
 ) -> ColumnBounds:
-    """Distance bounds from column independence of the check matrix."""
+    """Distance bounds from column independence of the check matrix.
+
+    No search eliminates its matrix for a rank: the check matrix has rank
+    n - k, since `CheckMatrix` refuses dependent generators, and each CSS
+    block is rows of one reduced echelon form, so its rank is its row count.
+    The one elimination is `css_split`'s own.
+    """
     if not 1 <= t <= code.n:
         raise ValueError(f"t={t} outside 1..{code.n}")
-    order, exhausted = max_independence_order(code.h.h, budget=budget)
+    order, exhausted = _independence_order(code.h.h, code.num_generators, budget)
     lower = 2 * (order // 4) + 1
     upper: int | None = None
     exact: int | None = None
@@ -115,11 +127,12 @@ def column_bounds(
     encodes = code.k >= 1
     split = css_split(code)
     if split is not None:
-        x_order, x_exh = max_independence_order(split.x_block, budget=budget)
+        x, z = split.x_block, split.z_block
+        x_order, x_exh = _independence_order(x, x.nrows, budget)
         z_order, z_exh = (
             (x_order, x_exh)  # equal blocks give the same search
-            if split.z_block == split.x_block
-            else max_independence_order(split.z_block, budget=budget)
+            if z == x
+            else _independence_order(z, z.nrows, budget)
         )
         block_orders = (x_order, z_order)
         blocks_exhausted = x_exh or z_exh
@@ -127,7 +140,7 @@ def column_bounds(
             # the exact criterion of `css_nondegeneracy`
             css_verdict = all(
                 o >= min(2 * t, b.cols)
-                for o, b in ((x_order, split.x_block), (z_order, split.z_block))
+                for o, b in ((x_order, x), (z_order, z))
             )
             # With k >= 1 each block has fewer rows than columns, so both
             # orders come from searches that found a dependent subset:
@@ -283,7 +296,9 @@ def min_distance(
         lower, upper = bounds.lower, bounds.upper
         order, exhausted = bounds.max_independence_order, bounds.budget_exhausted
     else:
-        order, exhausted = max_independence_order(code.h.h, budget=budget)
+        order, exhausted = _independence_order(
+            code.h.h, code.num_generators, budget
+        )
         lower, upper = 2 * (order // 4) + 1, None
 
     d: int | None = None

@@ -137,11 +137,18 @@ class PauliOperator:
 
 
 class PauliParseError(ValueError):
-    """Raised on malformed Pauli strings; carries the 1-based offending position."""
+    """Raised on malformed Pauli strings; carries the 1-based offending position.
 
-    def __init__(self, message: str, position: int | None = None):
+    `reason` is the message without the position, for callers that report
+    the place themselves.
+    """
+
+    def __init__(
+        self, message: str, position: int | None = None, reason: str | None = None
+    ):
         super().__init__(message)
         self.position = position
+        self.reason = message if reason is None else reason
 
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -171,8 +178,9 @@ def pauli_from_string(text: str) -> PauliOperator:
         pair = _LETTER_TO_XZ.get(ch)
         if pair is None:
             pos = offset + j + 1
+            reason = f"unexpected character {ch!r}"
             raise PauliParseError(
-                f"unexpected character {ch!r} at position {pos}", position=pos
+                f"{reason} at position {pos}", position=pos, reason=reason
             )
         x |= pair[0] << j
         z |= pair[1] << j

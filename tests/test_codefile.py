@@ -127,6 +127,15 @@ class TestErrors:
             read_code_file(write(tmp_path, "XZ\n-iXQZ\n"))
         assert (exc.value.line, exc.value.column) == (2, 4)
 
+    # the message names the file column only, not the string's own position
+    @pytest.mark.parametrize(
+        "text,column", [("   XQ\n", 5), ("  -iXQZ\n", 6)]
+    )
+    def test_bad_letter_message_names_one_column(self, tmp_path, text, column):
+        with pytest.raises(CodeFileError) as exc:
+            read_code_file(write(tmp_path, text))
+        assert str(exc.value) == f"line 1, char {column}: unexpected character 'Q'"
+
     def test_mixed_lengths(self, tmp_path):
         with pytest.raises(CodeFileError) as exc:
             read_code_file(write(tmp_path, "XZ\nXZX\n"))

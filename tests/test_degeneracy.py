@@ -28,6 +28,7 @@ from stabcheck import (
     error_count,
     five_qubit,
     max_independence_order,
+    min_distance,
     necessary_check,
     pauli_from_string,
     pauli_to_string,
@@ -653,6 +654,14 @@ class TestDecoded:
         seen = self.assert_matches_oracle(code, table, 2, even_z)
         assert (True, True, False) in seen  # Z_i Z_j, decoded by the identity
 
+    @pytest.mark.parametrize("n", [7, 64])  # int64 and object tables
+    def test_strict_mask_tables_are_shared_and_read_only(self, n):
+        tables = degeneracy._letter_masks(n)
+        assert degeneracy._letter_masks(n) is tables
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+
 
 class TestColumnCriteria:
     def test_sufficient_proves_bch_at_t1(self):
@@ -768,6 +777,29 @@ class TestSharedSearches:
             CriterionOutcome.DEGENERATE,
             CriterionOutcome.BUDGET_EXHAUSTED,
         }
+
+    def test_known_ranks_match_eliminated_ones(self):
+        # column_bounds and min_distance take their ranks from the code, not
+        # from an elimination; the orders must be those of the public search
+        stops = 0
+        for code, t, budget in self.cases():
+            order, exhausted = max_independence_order(code.h.h, budget=budget)
+            split = css_split(code)
+            blocks = None
+            if split is not None:
+                x = max_independence_order(split.x_block, budget=budget)
+                z = max_independence_order(split.z_block, budget=budget)
+                blocks = (x[0], z[0])
+                exhausted = exhausted or x[1] or z[1]
+            got = column_bounds(code, t, budget=budget)
+            assert (
+                got.max_independence_order,
+                got.budget_exhausted,
+                got.block_orders,
+            ) == (order, exhausted, blocks)
+            assert min_distance(code, 0, budget=budget).max_independence_order == order
+            stops += exhausted
+        assert stops > 0
 
     def test_column_bounds_exact_matches_css_rule(self):
         hits = 0

@@ -24,6 +24,7 @@ from stabcheck import (
     random_code,
     random_css_code,
     shor,
+    stabilizer,
     steane,
     syndrome_direct,
     three_qubit_bit_flip,
@@ -37,6 +38,7 @@ from stabcheck.symplectic import (
     Gf2Matrix,
     RowBasis,
     kernel_basis,
+    row_reduce,
     smallest_dependent_subset,
 )
 
@@ -238,6 +240,25 @@ class TestColumnBounds:
         if budget == DEFAULT_BUDGET:
             assert classify_calls
             assert uppers > 10
+
+    def test_one_elimination_per_bounds_call(self, monkeypatch):
+        # the ranks come from the code: n - k for the check matrix, the row
+        # count for each CSS block; only css_split eliminates
+        eliminated = []
+
+        def counting(m):
+            eliminated.append(m)
+            return row_reduce(m)
+
+        for module in (distance, stabilizer):
+            monkeypatch.setattr(module, "row_reduce", counting)
+        for code in (bch_31_11(), steane(), shor()):
+            eliminated.clear()
+            column_bounds(code, 1)
+            assert eliminated == [code.h.h]
+            eliminated.clear()
+            min_distance(code, 0)
+            assert eliminated == []
 
     def test_bch_bounds_skip_the_error_scan(self, syndrome_calls, fill_chunks):
         code = bch_31_11()
