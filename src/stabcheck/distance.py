@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degeneracy import Verdict, classify
+from .degeneracy import Verdict, _check_t, classify
 from .stabilizer import StabilizerCode, css_split
 from .symplectic import (
     ALL_INDEPENDENT,
@@ -114,8 +114,7 @@ def column_bounds(
     block is rows of one reduced echelon form, so its rank is its row count.
     The one elimination is `css_split`'s own.
     """
-    if not 1 <= t <= code.n:
-        raise ValueError(f"t={t} outside 1..{code.n}")
+    _check_t(code, t)
     order, exhausted = _independence_order(code.h.h, code.num_generators, budget)
     lower = 2 * (order // 4) + 1
     upper: int | None = None

@@ -409,7 +409,7 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 
 DEFAULT_BUDGET = 10**7
 
-# most pairs the last-two-levels map of `smallest_dependent_subset` holds
+# most pairs of the one complete pair map `smallest_dependent_subset` builds
 _PAIR_CAP = 1 << 18
 
 
@@ -421,7 +421,7 @@ class SubsetSearch:
     minimal dependent subset (every proper subset is independent), sorted
     ascending.  `visited` counts column insertions, the quantity capped by
     the budget; the lookups that stand in for the last two DFS levels and
-    for size 1, and the sizes settled from the pair map, count the
+    for size 1, and the sizes settled from the map of every pair, count the
     insertions their loops would have made.  `verified` is the largest size
     whose subsets were all found independent: max_size when all_independent,
     one less than the witness size when dependent_found, and the last size
@@ -452,21 +452,20 @@ def smallest_dependent_subset(
     a proper subset is never 0.  So the DFS carries one int down, the XOR
     `acc` of the columns chosen so far, and the last two levels go by
     lookup: they stop at the colex-first pair (c, j), j < c, below their
-    bound with cols[c] ^ cols[j] == acc.  A map from a pair's XOR to its
-    colex-first pair answers this with one lookup.  All sizes share the map;
-    it grows column by column, never past the column at which the budget
-    runs out, and holds at most `_PAIR_CAP` pairs.  Columns it does not
-    cover, and size 2 (where acc is 0), take one lookup each in a map from
+    bound with cols[c] ^ cols[j] == acc.  Once a map from each pair's XOR
+    to its colex-first pair exists, one lookup there answers this; until
+    then each column c takes one lookup of acc ^ cols[c] in a map from
     column value to first index, and size 1 one lookup of the zero column
     there.  `visited` still counts the column insertions that the loops
     would make, and a budget stop falls where theirs would.
 
-    Circuit-free sizes 3 and 4 are settled from the full pair map, with no
-    DFS: with no smaller circuit, a 3-circuit is a pair whose XOR is a
-    column and a 4-circuit two pairs with one XOR.  A settled level is still
+    Circuit-free sizes 3 and 4 are settled from the pair map, with no DFS:
+    with no smaller circuit, a 3-circuit is a pair whose XOR is a column
+    and a 4-circuit two pairs with one XOR.  A settled level is still
     charged the visits of its DFS, sum_{j=1..s} C(N - s + j, j) over N
     columns.  Settling needs the whole level to fit the remaining budget and
-    all C(N, 2) pairs to fit `_PAIR_CAP`; a level that holds a circuit, or
+    all C(N, 2) pairs to fit `_PAIR_CAP`; only then are all pairs mapped,
+    once, and later levels read the map.  A level that holds a circuit, or
     fails either test, runs the DFS, which alone finds witnesses and budget
     stops.
     """
@@ -479,21 +478,12 @@ def smallest_dependent_subset(
     cols = m.columns()
     ncols = m.cols
     # cols[c] ^ cols[j] -> c * ncols + j for the colex-first pair j < c with
-    # that XOR, over the columns c < mapped; integer order is colex order
+    # that XOR; integer order is colex order.  Empty, or every pair.
     pairs: dict[int, int] = {}
-    mapped = 0
     first: dict[int, int] = {}
     for j, col in enumerate(cols):
         first.setdefault(col, j)
     visited = 0
-
-    def map_column() -> None:
-        # the pairs (mapped, j), j < mapped
-        nonlocal mapped
-        col, base = cols[mapped], mapped * ncols
-        for j in range(mapped):
-            pairs.setdefault(col ^ cols[j], base + j)
-        mapped += 1
 
     def settled(size: int) -> bool:
         # Every smaller size is circuit-free, so the columns are distinct and
@@ -503,8 +493,10 @@ def smallest_dependent_subset(
         steps, npairs = _level_steps(ncols, size), comb(ncols, 2)
         if steps > budget - visited or npairs > _PAIR_CAP:
             return False
-        while mapped < ncols:
-            map_column()
+        if not pairs:
+            for c, col in enumerate(cols):
+                for j in range(c):
+                    pairs.setdefault(col ^ cols[j], c * ncols + j)
         if size == 3:
             circuit = not pairs.keys().isdisjoint(first)  # `first` keys the columns
         else:
@@ -520,25 +512,17 @@ def smallest_dependent_subset(
         # With every smaller size circuit-free, that XOR can only be `acc`,
         # the XOR of all of them (a proper subset's would close a smaller
         # circuit), so the hit is the colex-first pair (c, j) with that XOR.
-        # Finishing column c costs 1 + c visits, a hit at (c, j) j + 2.
+        # Finishing column c costs 1 + c visits, a hit at (c, j) j + 2.  The
+        # scan does not watch the budget: a hit past it, or none, costs more
+        # than is left and stops the search where the loops would.
         nonlocal visited
-        left = budget - visited
-        # acc is 0 only at size 2, which costs one coset lookup per column,
-        # less than mapping the column's pairs, and comes only once
-        while (
-            acc
-            and mapped < bound
-            and _steps(mapped) + 2 <= left
-            and len(pairs) + mapped <= _PAIR_CAP
-        ):
-            map_column()
         end = bound * ncols
-        hit = pairs.get(acc, end)
-        if hit >= end:
-            for c in range(mapped, bound):
-                if _steps(c) + 2 > left:
-                    break
-                # past the map: the first column equal to acc ^ cols[c]
+        if pairs:
+            hit = pairs.get(acc, end)
+        else:
+            hit = end
+            for c in range(bound):
+                # the first column equal to acc ^ cols[c]
                 j = first.get(acc ^ cols[c], c)
                 if j < c:
                     hit = c * ncols + j
@@ -548,7 +532,7 @@ def smallest_dependent_subset(
             steps, found = _steps(c) + j + 2, (j, c)
         else:
             steps, found = _steps(bound), None
-        if steps > left:
+        if steps > budget - visited:
             visited = budget
             raise _BudgetExhausted
         visited += steps

@@ -10,11 +10,14 @@ numpy fill of `build_table` must reproduce entry for entry;
 `subset_search_dfs`, the column-by-column subset search whose every field
 `smallest_dependent_subset` must reproduce; and `column_bounds_by_classify`,
 the `column_bounds` that asks `classify` for nondegeneracy every time.
+`weight_enumerators` answers distance and degeneracy from weight counts
+alone, through the quantum MacWilliams identity.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 
 from stabcheck import (
     ColumnBounds,
@@ -79,6 +82,33 @@ def span(generators: list[str]) -> frozenset[str]:
     for g in generators:
         acc |= {multiply(g, e) for e in acc}
     return frozenset(acc)
+
+
+def weight_enumerators(code) -> tuple[list[int], list[int]]:
+    """(A, B): A[j] counts the stabilizer elements of weight j, B[j] the
+    elements of weight j that commute with every generator.
+
+    B comes from A by the quantum MacWilliams identity (Shor-Laflamme 1997),
+    B_j = 2^-(n-k) sum_i A_i K_j(i), with the Krawtchouk polynomial
+    K_j(i) = sum_l (-1)^l 3^(j-l) C(i, l) C(n-i, j-l), the coefficient of
+    y^j in (1 + 3y)^(n-i) (1 - y)^i.  Enumerates all 2^(n-k) stabilizer
+    elements; keep n - k small.
+    """
+    n = code.n
+    a = [0] * (n + 1)
+    for s in span([pauli_to_string(g) for g in code.h.generators]):
+        a[weight(s)] += 1
+    b = []
+    for j in range(n + 1):
+        total = sum(
+            a[i] * (-1) ** l * 3 ** (j - l) * comb(i, l) * comb(n - i, j - l)
+            for i in range(n + 1)
+            for l in range(j + 1)
+        )
+        b_j, rest = divmod(total, 2**code.num_generators)
+        assert rest == 0, (j, total)
+        b.append(b_j)
+    return a, b
 
 
 def weight_level(n: int, w: int):

@@ -10,6 +10,7 @@ from stabcheck import (
     CriterionOutcome,
     PauliOperator,
     StabilizerCode,
+    Verdict,
     classify,
     column_bounds,
     css_nondegeneracy,
@@ -382,6 +383,43 @@ class TestRandomConsistency:
                 assert res.d <= res.upper
             if res.witness is not None:
                 assert_valid_logical(code, res.witness)
+
+
+class TestWeightEnumerators:
+    """The quantum MacWilliams identity as an oracle: d is the least j with
+    B_j > A_j, and two distinct errors of weight <= t share a syndrome
+    exactly when some nontrivial normalizer element has weight <= 2t."""
+
+    def test_hand_values(self, steane, five_qubit):
+        a, _ = oracles.weight_enumerators(steane)
+        assert a == [1, 0, 0, 0, 21, 0, 42, 0]
+        a, b = oracles.weight_enumerators(five_qubit)
+        assert (a, b[3]) == ([1, 0, 0, 0, 15, 0], 30)
+
+    def test_distance_degeneracy_and_bounds_agree(self, steane, shor, five_qubit, bitflip3):
+        codes = [steane, shor, five_qubit, bitflip3]
+        codes += draw_codes(300, 8, seed=5, css_share=0.3)
+        kinds = set()
+        for code in codes:
+            n = code.n
+            a, b = oracles.weight_enumerators(code)
+            assert a[0] == b[0] == 1
+            assert all(b_j >= a_j for a_j, b_j in zip(a, b))
+            d = next((j for j in range(1, n + 1) if b[j] > a[j]), None)
+            assert min_distance(code).d == d, generator_strings(code)
+            for t in range(1, n + 1):
+                nondegenerate = not any(b[1 : min(2 * t, n) + 1])
+                verdict = classify(code, t).verdict
+                assert (verdict is Verdict.NONDEGENERATE) == nondegenerate, (
+                    generator_strings(code),
+                    t,
+                )
+                kinds.add(verdict)
+                bounds = column_bounds(code, t)
+                if d is not None:
+                    assert bounds.lower <= d
+                    assert bounds.upper is None or d <= bounds.upper
+        assert kinds == set(Verdict)
 
 
 @pytest.fixture

@@ -399,7 +399,7 @@ class TestSmallestDependentSubset:
 
     def test_pair_map_stays_under_its_cap(self, monkeypatch):
         # Size 3 of 200 columns, searched to the end, reaches all 19,900
-        # pairs; with the cap at 2^10 the map holds about 1,000 of them.
+        # pairs; with the cap at 2^10 the map holds none of them.
         rng = random.Random(41)
         m = Gf2Matrix(200, tuple(rng.getrandbits(200) for _ in range(40)))
         monkeypatch.setattr(symplectic, "_PAIR_CAP", 1 << 10)
@@ -415,6 +415,22 @@ class TestSmallestDependentSubset:
             1 + sum(1 + b for b in range(1, c)) for c in range(2, 200)
         )
         assert peak < 2**19
+
+    def test_pairs_past_the_cap_are_not_mapped(self):
+        # Size 3 of 800 columns fits a budget of 10^9, but C(800, 2) = 319,600
+        # pairs pass the cap: the pair map is built whole or not at all, so
+        # every column goes by its own lookup and nothing is mapped.
+        rng = random.Random(42)
+        m = Gf2Matrix(800, tuple(rng.getrandbits(800) for _ in range(40)))
+        assert comb(800, 2) > symplectic._PAIR_CAP
+        tracemalloc.start()
+        try:
+            s = smallest_dependent_subset(m, 3, budget=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s.outcome, s.visited, s.verified) == (ALL_INDEPENDENT, 85_654_398, 3)
+        assert peak < 2**20
 
     def test_wide_matrix_pays_only_its_budget(self):
         # Size 2 of 3000 columns would visit about 4.5 million pairs.  The
