@@ -6,6 +6,8 @@ R * E lands in the stabilizer row space (degenerate decoding: correcting up
 to a stabilizer element is a success).  Each trial draws from its own
 counter-based stream keyed by (seed, trial index), so results are bit-exact
 reproducible and independent of how trials are split across workers.
+`run` starts at most one process per CPU and hands each one contiguous span
+of trials, so the decoder table is pickled once per process.
 
 `run` draws a chunk of trials at once: `_uniforms` evaluates Philox4x64-10
 (Salmon et al., SC 2011) in numpy across every trial of the chunk and gives
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,11 +269,6 @@ def _run_range(
     return failures
 
 
-def pool_size(workers: int, spans: int, cpus: int | None) -> int:
-    """Processes worth starting: no more than the spans or the CPUs."""
-    return min(workers, spans, cpus or 1)
-
-
 def check_run_args(trials: int, seed: int, workers: int) -> None:
     """Raise ValueError for arguments `run` rejects, before any work."""
     if trials <= 0:
@@ -297,8 +293,11 @@ def run(
 
     Per-trial keyed streams make the outcome a pure function of
     (code, channel, trials, seed, strict): the worker count changes wall time
-    only.  `strict` demands exact error recovery instead of recovery up to a
-    stabilizer element; it exists to measure how much degeneracy helps.
+    only.  min(workers, CPU count) processes start, each with one contiguous
+    span of the trials; a single process, or fewer than two trials a worker,
+    runs inline with no pool.  `strict` demands exact error recovery instead
+    of recovery up to a stabilizer element; it exists to measure how much
+    degeneracy helps.
     Raises ValueError before any trial when `table` was built for another
     code.
     """
@@ -307,20 +306,16 @@ def run(
         table = build_table(code)
     elif (table.n, table.checks) != (code.n, code.h.h.rows):
         raise ValueError("decoder table was built for another code")
-    if workers == 1 or trials < 2 * workers:
+    procs = min(workers, os.cpu_count() or 1)
+    if procs == 1 or trials < 2 * workers:
         failures = _run_range(table, channel, seed, 0, trials, strict)
     else:
-        step = -(-trials // workers)
-        spans = [
-            (start, min(start + step, trials)) for start in range(0, trials, step)
-        ]
-        size = pool_size(workers, len(spans), os.cpu_count())
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            parts = pool.map(
-                _run_range,
-                *zip(*[(table, channel, seed, a, b, strict) for a, b in spans]),
-            )
-            failures = sum(parts)
+        from concurrent.futures import ProcessPoolExecutor
+
+        cuts = [trials * i // procs for i in range(procs + 1)]
+        args = [(table, channel, seed, a, b, strict) for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            failures = sum(pool.map(_run_range, *zip(*args)))
     rate = failures / trials
     return SimResult(
         trials=trials,

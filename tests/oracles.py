@@ -11,7 +11,8 @@ numpy fill of `build_table` must reproduce entry for entry;
 `smallest_dependent_subset` must reproduce; and `column_bounds_by_classify`,
 the `column_bounds` that asks `classify` for nondegeneracy every time.
 `weight_enumerators` answers distance and degeneracy from weight counts
-alone, through the quantum MacWilliams identity.
+alone, through the quantum MacWilliams identity.  `relabel` makes a new code
+with the same distance, verdicts and weight enumerators as a known one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from math import comb
 from stabcheck import (
     ColumnBounds,
     PauliOperator,
+    StabilizerCode,
     Verdict,
     classify,
     css_split,
@@ -109,6 +111,32 @@ def weight_enumerators(code) -> tuple[list[int], list[int]]:
         assert rest == 0, (j, total)
         b.append(b_j)
     return a, b
+
+
+# each of the six permutations of X, Y, Z, as the images of "XYZ"; a
+# permutation on one qubit keeps commutation and weight, so a relabeled code
+# keeps its distance, verdicts and weight enumerators
+LETTER_MAPS = ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX")
+
+
+def relabel(code, rng, maps: tuple[str, ...] = LETTER_MAPS) -> StabilizerCode:
+    """The code with its qubits permuted and a letter map from `maps` applied
+    on each qubit, both drawn from `rng` (a `random.Random`).
+
+    Qubit permutations and the X<->Z swap "ZYX" permute the columns of
+    [H_X|H_Z], so with maps=("XYZ", "ZYX") the column order is kept too.
+    """
+    n = code.n
+    perm = rng.sample(range(n), n)
+    letters = [dict(zip("IXYZ", "I" + rng.choice(maps))) for _ in range(n)]
+    images = []
+    for g in code.h.generators:
+        s = pauli_to_string(g)
+        chars = ["I"] * n
+        for q, c in enumerate(s):
+            chars[perm[q]] = letters[q][c]
+        images.append("".join(chars))
+    return StabilizerCode.from_strings(*images)
 
 
 def weight_level(n: int, w: int):

@@ -33,7 +33,6 @@ from stabcheck.channel import (
     _sample_letters,
     _trial_rng,
     _uniforms,
-    pool_size,
     sample_error,
 )
 from stabcheck.symplectic import BitVector
@@ -593,18 +592,41 @@ class TestRun:
         assert r.failures == 702
 
     @pytest.mark.parametrize(
-        "workers,spans,cpus,expected",
+        "workers,cpus,trials,pools",
         [
-            (1, 1, 8, 1),
-            (4, 4, 8, 4),
-            (64, 64, 2, 2),  # never more processes than CPUs
-            (8, 3, 16, 3),  # never more processes than spans
-            (10**6, 10**6, 4, 4),
-            (5, 5, None, 1),  # CPU count unknown
+            # never more processes than CPUs, and one span per process
+            (16, 2, 10_000, [(2, [(0, 5000), (5000, 10_000)])]),
+            (3, 8, 10_000, [(3, [(0, 3333), (3333, 6666), (6666, 10_000)])]),
+            (4, 1, 10_000, []),  # one CPU runs inline
+            (4, None, 10_000, []),  # CPU count unknown
+            (4, 2, 5, []),  # fewer than two trials a worker
         ],
     )
-    def test_pool_size_caps_workers(self, workers, spans, cpus, expected):
-        assert pool_size(workers, spans, cpus) == expected
+    def test_one_span_per_process(self, steane, monkeypatch, workers, cpus, trials, pools):
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                started.append((self.max_workers, list(zip(columns[3], columns[4]))))
+                return map(fn, *columns)
+
+        ch = PauliChannel.depolarizing(0.06)
+        solo = simulate(steane, ch, trials, 12)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(channel.os, "cpu_count", lambda: cpus)
+        assert simulate(steane, ch, trials, 12, workers=workers) == solo
+        assert started == pools
 
     def test_few_trials_fall_back_to_inline(self, steane):
         ch = PauliChannel.depolarizing(0.06)

@@ -596,6 +596,19 @@ class TestEntryPoints:
         )
         assert_prints_version(proc)
 
+    def test_import_loads_no_process_pool(self):
+        # concurrent.futures is imported only when `run` starts a pool
+        code = (
+            "import sys, stabcheck, stabcheck.cli; "
+            "print([m for m in sys.modules if m.startswith('concurrent')])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     @pytest.mark.skipif(
         shutil.which("stabcheck") is None,
         reason="stabcheck console script not installed",
