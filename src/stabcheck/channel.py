@@ -13,12 +13,15 @@ of trials, so the decoder table is pickled once per process.
 (Salmon et al., SC 2011) in numpy across every trial of the chunk and gives
 each trial the same words as `np.random.Generator(np.random.Philox(key=[seed,
 trial])).random(n)`, so the errors are those of the per-trial reference
-`sample_error(channel, n, _trial_rng(seed, trial))`.  The chunk is decoded
-in numpy too: each trial's letters (X, Y, Z, I) come straight from its
-draws, kept as 53-bit integers and counted against integer thresholds, and
-the trial fails unless `degeneracy._decoded`, the one decode test, passes
-its flat indices 4q + a: its syndrome is covered and its claimant's logical
-class key equals its own (in strict mode: its x and z mask keys do).
+`sample_error(channel, n, _trial_rng(seed, trial))`.  The rounds run
+qubit-major, on (blocks, trials) arrays, so each qubit's draws are one
+contiguous column, and the chunk's letters and flat indices 4q + a keep that
+layout, the one `degeneracy._error_chunks` gives the table fill.  The chunk
+is decoded in numpy too: each trial's letters (X, Y, Z, I) come straight
+from its draws, kept as 53-bit integers and counted against integer
+thresholds, and the trial fails unless `degeneracy._decoded`, the one decode
+test, passes its flat indices: its syndrome is covered and its claimant's
+logical class key equals its own (in strict mode: its x and z mask keys do).
 """
 
 from __future__ import annotations
@@ -135,14 +138,15 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-# Philox words sampled per batch in `_run_range`: a chunk holds
-# max(1, _CHUNK_WORDS // ceil(n / 4)) trials, so each full uint64 array of
-# its rounds is 64 kB whatever n is, and numpy's per-call cost is spread over
-# that many words on small codes too.  8192 words is 1024 trials of the
-# 31-qubit BCH code; Steane gets 4096 trials a chunk, the 3-qubit
-# repetition code 8192.  Steane at 20k trials then Shor at 2k, tables built
-# beforehand, raise the peak RSS by 1.2 MB in a process of their own, against
-# 0.1 MB with 1024-trial chunks.
+# Philox blocks sampled per batch in `_run_range`: a chunk holds
+# max(1, _CHUNK_WORDS // ceil(n / 4)) trials of ceil(n / 4) blocks each.  Each
+# of the four state arrays of its rounds holds one uint64 word per block,
+# 8192 words or 64 kB whatever n is, so a chunk draws 4 * 8192 = 32,768 words
+# and numpy's per-call cost is spread over that many on small codes too.
+# 8192 blocks are 1024 trials of the 31-qubit BCH code; Steane gets 4096
+# trials a chunk, the 3-qubit repetition code 8192.  Steane at 20k trials
+# then Shor at 2k, tables built beforehand, raise the peak RSS by 1.2 MB in a
+# process of their own, against 0.1 MB with 1024-trial chunks.
 _CHUNK_WORDS = 8192
 
 # Philox4x64-10 constants.  Everything stays np.uint64, because NumPy 1.x
@@ -177,11 +181,17 @@ def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     uniform is the word's top 53 bits.  Counter words 1 to 3 start as one
     zero that broadcasts, so round 1's second product and round 2's first
     run on a single element; from round 3 on every word is a full array.
+
+    The rounds run qubit-major: every full word is a (blocks, trials) array,
+    so the trial key k1 broadcasts along contiguous rows.  The result is the
+    transpose of a C-ordered (n, trials) array, one contiguous column per
+    qubit.  k0 and k1 stay uint64 arrays, which wrap silently where the key
+    schedule passes 2**64; numpy scalars warn there.
     """
     blocks = -(-n // 4)
     k0 = np.full((1, 1), seed, dtype=np.uint64)
-    k1 = np.arange(start, stop, dtype=np.uint64).reshape(-1, 1)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)  # broadcasts over trials
+    k1 = np.arange(start, stop, dtype=np.uint64)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64).reshape(-1, 1)
     c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     for _ in range(10):
         hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
@@ -189,8 +199,8 @@ def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
         k0 = k0 + _PHILOX_W0
         k1 = k1 + _PHILOX_W1
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(stop - start, 4 * blocks)
-    return words[:, :n] >> _U11
+    words = np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, stop - start)
+    return (words[:n] >> _U11).T
 
 
 def _integer_thresholds(channel: PauliChannel) -> np.ndarray:
@@ -273,7 +283,11 @@ def check_run_args(trials: int, seed: int, workers: int) -> None:
     """Raise ValueError for arguments `run` rejects, before any work."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if not 0 <= seed < 2**63:  # numpy aliases larger Philox keys, or overflows
+    # numpy aliases Philox key words past 2**63, or overflows, so seeds and
+    # trial indices both stay in [0, 2**63)
+    if trials > 2**63:
+        raise ValueError(f"trials {trials} past 2**63")
+    if not 0 <= seed < 2**63:
         raise ValueError(f"seed {seed} outside [0, 2**63)")
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import random
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -360,6 +361,36 @@ class TestBatchedStream:
                     want = np.random.Generator(np.random.Philox(key=[seed, trial]))
                     assert row.tobytes() == want.random(n).tobytes(), (trial, n)
 
+    def test_key_schedule_wraps_silently(self):
+        # k0 = 2**63 - 1 and k1 near 2**63 both pass 2**64 at round 1's key
+        # bump; uint64 arrays wrap there without a warning
+        trials = range(2**63 - 3, 2**63)
+        want = [np.random.Generator(np.random.Philox(key=[2**63 - 1, t])) for t in trials]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _uniforms(2**63 - 1, 2**63 - 3, 2**63, 9)
+        for row, ref in zip(got * 2.0**-53, want):
+            assert row.tobytes() == ref.random(9).tobytes()
+
+    def test_one_index_layout_from_sampler_to_decoder(self, steane, monkeypatch):
+        # the rounds run qubit-major, so each qubit's draws, letters and
+        # indices are one contiguous column, as in the fill's chunks
+        ch = PauliChannel.depolarizing(0.05)
+        for n in (1, 4, 7, 9, 31):
+            assert _uniforms(3, 10, 50, n).T.flags.c_contiguous, n
+            assert _sample_letters(ch, n, 3, 10, 50).T.flags.c_contiguous, n
+        seen = []
+
+        def recorded(table, at, strict=False):
+            seen.append(at)
+            return degeneracy._decoded(table, at, strict)
+
+        monkeypatch.setattr(channel, "_decoded", recorded)
+        assert simulate(steane, ch, 2000, 42).failures == 73
+        assert seen and all(at.flags.f_contiguous for at in seen)
+        chunks = [idx for _, idx in degeneracy._error_chunks(7, 3)]
+        assert all(idx.flags.f_contiguous for idx in chunks)
+
     def test_philox_arithmetic_stays_uint64(self):
         # NumPy 1.x promotes uint64 mixed with a Python int to float64, which
         # would silently round the words; every constant must be np.uint64.
@@ -586,6 +617,15 @@ class TestRun:
     def test_largest_seed_runs(self, steane):
         r = simulate(steane, PauliChannel.depolarizing(0.05), 50, 2**63 - 1)
         assert (r.seed, r.trials) == (2**63 - 1, 50)
+
+    @pytest.mark.parametrize("trials", [2**63 + 1, 2**64])
+    def test_trials_past_the_key_domain_refused(self, steane, monkeypatch, trials):
+        # numpy stores Philox key word 2**63 + 1 as 2**63 and 2**64 - 1 as 0,
+        # so trial indices stay below 2**63, as seeds do
+        channel.check_run_args(2**63, 2**63 - 1, 1)
+        monkeypatch.setattr(channel, "_uniforms", None)  # no trial may start
+        with pytest.raises(ValueError, match="trials"):
+            simulate(steane, PauliChannel.depolarizing(0.05), trials, 1)
 
     def test_steane_seed_7_frozen(self, steane):
         r = simulate(steane, PauliChannel.depolarizing(0.05), 20000, 7)

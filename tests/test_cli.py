@@ -348,7 +348,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--seed", "-1"), ("--seed", str(2**63)), ("--trials", "0"), ("--workers", "0")],
+        [
+            ("--seed", "-1"),
+            ("--seed", str(2**63)),
+            ("--trials", "0"),
+            ("--trials", str(2**63 + 1)),  # a trial index of 2**63
+            ("--workers", "0"),
+        ],
     )
     def test_bad_run_args_exit_2_before_table_build(self, capsys, monkeypatch, flag, value):
         def no_table(code):
