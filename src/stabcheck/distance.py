@@ -21,6 +21,7 @@ from .symplectic import (
     DEFAULT_BUDGET,
     Gf2Matrix,
     PauliOperator,
+    RowBasis,
     row_reduce,
     smallest_dependent_subset,
 )
@@ -191,10 +192,10 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
     A Pauli on support S has zero syndrome exactly when its X and Z bits pick
     a dependent set of the 2|S| syndrome columns of S (rows of bsm and psm),
     so a support needs its kernel, not all 3^w letter patterns.  Supports run
-    in colex order by the DFS of `smallest_dependent_subset`; each column
-    enters an echelon basis tagged with its operator mask (x | z << n) and its
-    class key above bit 2n, a zero residue leaves its tag in the kernel, and
-    backtracking undoes both.  On the first support whose kernel span holds a
+    in colex order by the DFS of `smallest_dependent_subset`; each column is
+    pushed on one `RowBasis` tagged with its operator mask (x | z << n) and
+    its class key above bit 2n, its `kernel` holds the support's kernel, and
+    backtracking pops both columns.  On the first support whose span holds a
     non-stabilizer (class bits not 0) using every qubit of S, the lex-least
     letter pattern (X < Y < Z, lowest qubit most significant) is returned: the
     operator that colex supports with lex letters meet first.
@@ -203,31 +204,11 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
     low = (1 << n) - 1
     sm = code.syndrome_matrices
     classes = Gf2Matrix(2 * n, code._logicals).columns()
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
-
-    def push(col: int, tag: int) -> int | None:
-        """Insert one column; returns its pivot key, None for a kernel vector."""
-        while col:
-            key = col.bit_length() - 1
-            pivot = pivots.get(key)
-            if pivot is None:
-                pivots[key] = (col, tag)
-                return key
-            col ^= pivot[0]
-            tag ^= pivot[1]
-        kernel.append(tag)
-        return None
-
-    def pop(key: int | None) -> None:
-        if key is None:
-            kernel.pop()
-        else:
-            del pivots[key]
+    basis = RowBasis(sm.bsm.cols)
 
     def best_on(support: int) -> tuple[int, int] | None:
         span = [0]
-        for v in kernel:
+        for v in basis.kernel:
             span += [u ^ v for u in span]
         qubits = [q for q in range(n) if support >> q & 1]
         best = None
@@ -243,14 +224,14 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
 
     def extend(bound: int, depth: int, support: int) -> tuple[int, int] | None:
         for q in range(depth - 1, bound):
-            kx = push(sm.bsm.rows[q], 1 << q | classes[n + q] << 2 * n)
-            kz = push(sm.psm.rows[q], 1 << (n + q) | classes[q] << 2 * n)
+            kx = basis.push(sm.bsm.rows[q], 1 << q | classes[n + q] << 2 * n)
+            kz = basis.push(sm.psm.rows[q], 1 << (n + q) | classes[q] << 2 * n)
             if depth > 1:
                 hit = extend(q, depth - 1, support | 1 << q)
             else:
-                hit = best_on(support | 1 << q) if kernel else None
-            pop(kz)
-            pop(kx)
+                hit = best_on(support | 1 << q) if basis.kernel else None
+            basis.pop(kz)
+            basis.pop(kx)
             if hit is not None:
                 return hit
         return None

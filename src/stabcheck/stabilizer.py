@@ -243,8 +243,7 @@ class StabilizerCode:
         logicals = []
         for v in kernel_basis(swapped):
             residue = basis.reduce(v.bits)
-            if residue:
-                basis.add(residue)
+            if basis.add(residue):
                 logicals.append(residue)
         return tuple(logicals)
 

@@ -354,27 +354,25 @@ def gf2_invert(m: Gf2Matrix) -> Gf2Matrix:
 
 
 def kernel_basis(m: Gf2Matrix) -> tuple[BitVector, ...]:
-    """Basis of {v : m @ v = 0}; one vector per non-pivot column."""
-    red = row_reduce(m)
-    pivot_set = set(red.pivot_cols)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for i, pc in enumerate(red.pivot_cols):
-            if (red.reduced.rows[i] >> free) & 1:
-                v |= 1 << pc
-        basis.append(BitVector(m.cols, v))
-    return tuple(basis)
+    """Basis of {v : m @ v = 0}: column j is pushed tagged e_j, so a column f
+    spanned by earlier ones leaves the vector the RREF builds for free column f."""
+    basis = RowBasis(m.nrows)
+    for j, col in enumerate(m.columns()):
+        basis.push(col, 1 << j)
+    return tuple(BitVector(m.cols, v) for v in basis.kernel)
 
 
 class RowBasis:
-    """Incremental GF(2) row space: add vectors, reduce, test membership."""
+    """Incremental GF(2) row space: add or push vectors, reduce, test membership.
+
+    `push` eliminates a tag along with its vector; one that reduces to 0 leaves
+    its tag on `kernel`.  `pop` undoes the last push; `add` tags nothing."""
 
     def __init__(self, width: int, rows: Iterable[int] = ()):
         self.width = width
         self._pivot_rows: dict[int, int] = {}
+        self._tags: dict[int, int] = {}
+        self.kernel: list[int] = []
         for r in rows:
             self.add(r)
 
@@ -388,13 +386,34 @@ class RowBasis:
             v ^= row
         return 0
 
+    def push(self, v: int, tag: int) -> int | None:
+        """Insert v tagged `tag`; returns its pivot key, None for a kernel tag."""
+        pivot_rows, tags = self._pivot_rows, self._tags
+        while v:
+            key = v.bit_length() - 1
+            row = pivot_rows.get(key)
+            if row is None:
+                pivot_rows[key] = v
+                tags[key] = tag
+                return key
+            v ^= row
+            tag ^= tags[key]
+        self.kernel.append(tag)
+        return None
+
+    def pop(self, key: int | None) -> None:
+        """Undo the last push not yet undone, given the key it returned."""
+        if key is None:
+            self.kernel.pop()
+        else:
+            # its tag stays: push writes a tag wherever it writes a row
+            del self._pivot_rows[key]
+
     def add(self, v: int) -> bool:
         """Insert v; returns True when v was independent of the basis."""
         v = self.reduce(v)
-        if v == 0:
-            return False
-        self._pivot_rows[v.bit_length() - 1] = v
-        return True
+        # a reduced nonzero v is stored at its leading bit at once
+        return v != 0 and self.push(v, 0) is not None
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0

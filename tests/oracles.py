@@ -8,8 +8,10 @@ reference sampler, the stream that the batched sampler must reproduce;
 `table_fill`, the one-error-at-a-time decoder table fill that the chunked
 numpy fill of `build_table` must reproduce entry for entry;
 `subset_search_dfs`, the column-by-column subset search whose every field
-`smallest_dependent_subset` must reproduce; and `column_bounds_by_classify`,
-the `column_bounds` that asks `classify` for nondegeneracy every time.
+`smallest_dependent_subset` must reproduce; `column_bounds_by_classify`,
+the `column_bounds` that asks `classify` for nondegeneracy every time; and
+`kernel_basis_rref`, the kernel read off the reduced row echelon form, whose
+vectors and order `kernel_basis` must reproduce.
 `weight_enumerators` answers distance and degeneracy from weight counts
 alone, through the quantum MacWilliams identity.  `relabel` makes a new code
 with the same distance, verdicts and weight enumerators as a known one.
@@ -36,9 +38,11 @@ from stabcheck.symplectic import (
     ALL_INDEPENDENT,
     BUDGET_EXHAUSTED,
     DEPENDENT_FOUND,
+    BitVector,
     Gf2Matrix,
     RowBasis,
     SubsetSearch,
+    row_reduce,
 )
 
 LETTERS = "XYZ"
@@ -251,6 +255,22 @@ def smallest_dependent_columns(columns: list[int], max_size: int) -> tuple[int, 
         if best is not None:
             return best
     return None
+
+
+def kernel_basis_rref(m: Gf2Matrix) -> tuple[BitVector, ...]:
+    """Basis of {v : m @ v = 0}; one vector per non-pivot column of the RREF."""
+    red = row_reduce(m)
+    pivot_set = set(red.pivot_cols)
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        v = 1 << free
+        for i, pc in enumerate(red.pivot_cols):
+            if (red.reduced.rows[i] >> free) & 1:
+                v |= 1 << pc
+        basis.append(BitVector(m.cols, v))
+    return tuple(basis)
 
 
 def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict: bool = False) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import chain
 
@@ -20,6 +21,7 @@ from stabcheck import (
     pauli_from_string,
     pauli_to_string,
     random_code,
+    random_css_code,
     standard_form,
     syndrome,
     syndrome_direct,
@@ -274,6 +276,27 @@ class TestCssSplit:
     def test_non_css_rejected(self):
         code = StabilizerCode.from_strings("XZZXI", "IXZZX")
         assert css_split(code) is None
+
+
+class TestRandomCodes:
+    def test_drawn_codes_are_frozen(self):
+        # the tests draw codes by seed, and random_css_code reads
+        # kernel_basis: a change to either sampler or to the kernel's
+        # vectors or order must leave every code drawn here unchanged
+        digest = hashlib.sha256()
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = 2 + seed % 13
+            rows = rng.randint(2, n)
+            num_x = rng.randint(1, rows - 1)
+            drawn = random_code(n, rng.randint(1, n), rng)
+            css = random_css_code(n, num_x, rows - num_x, rng)
+            for code in (drawn, css):
+                text = "None" if code is None else " ".join(generator_strings(code))
+                digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8ed98d4483fb581ff80ec2ac75f0ab5b365bf31cb90701c80662f00421d33e2e"
+        )
 
 
 def test_from_strings_metadata():

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -186,6 +186,18 @@ small_matrices = st.integers(1, 5).flatmap(
 )
 
 
+@st.composite
+def kernel_matrices(draw) -> Gf2Matrix:
+    """0-10 rows and 0-14 columns, drawn column by column: zero rows come from
+    a row mask, zero and repeated columns from a small pool of columns."""
+    nrows = draw(st.integers(0, 10))
+    live = draw(st.integers(0, (1 << nrows) - 1))
+    column = st.integers(0, (1 << nrows) - 1)
+    pool = draw(st.lists(column, min_size=1, max_size=3))
+    cols = draw(st.lists(st.one_of(st.just(0), st.sampled_from(pool), column), max_size=14))
+    return Gf2Matrix(nrows, tuple(c & live for c in cols)).transpose()
+
+
 class TestRowReduce:
     @given(small_matrices)
     def test_transform_replays_reduction(self, m):
@@ -216,6 +228,17 @@ class TestRowReduce:
             assert m.transpose().vec_mat(v.bits) == 0
         assert len(basis) == m.cols - row_reduce(m).rank
 
+    @given(kernel_matrices())
+    @example(Gf2Matrix(0, ()))
+    @example(Gf2Matrix(0, (0, 0, 0)))
+    @example(Gf2Matrix(4, ()))
+    @example(Gf2Matrix(5, (0, 0b10110, 0, 0b10110)))
+    @settings(max_examples=300)
+    def test_kernel_matches_rref_construction(self, m):
+        # the [[31,11,5]] generators, random_css_code's Z rows and every
+        # class key are built from these exact vectors, in this order
+        assert kernel_basis(m) == oracles.kernel_basis_rref(m)
+
     def test_invert_roundtrip(self):
         m = Gf2Matrix.from01(["110", "011", "111"])
         inv = gf2_invert(m)
@@ -239,6 +262,51 @@ class TestRowBasis:
         assert b.contains(0b0110)
         assert b.contains(0)
         assert not b.contains(0b1000)
+
+    def test_add_never_touches_kernel(self):
+        b = RowBasis(4, [0b0011, 0b0011, 0])
+        assert b.add(0b0101) is True
+        assert b.add(0b0110) is False
+        assert b.add(0) is False
+        assert len(b) == 2
+        assert b.kernel == []
+
+    def test_pop_undoes_pushes(self):
+        # after any LIFO run of pushes and pops, the basis is the one the
+        # pushes still standing build from scratch
+        rng = random.Random(372)
+        width = 5
+        probes = range(1 << width)
+        for _ in range(300):
+            b = RowBasis(width)
+            stack: list[tuple[int, int, int | None]] = []
+            for _ in range(rng.randint(0, 24)):
+                if stack and rng.random() < 0.4:
+                    b.pop(stack.pop()[2])
+                else:
+                    v, tag = rng.getrandbits(width), rng.getrandbits(8)
+                    stack.append((v, tag, b.push(v, tag)))
+                fresh = RowBasis(width)
+                for v, tag, _ in stack:
+                    fresh.push(v, tag)
+                assert len(b) == len(fresh)
+                assert b.kernel == fresh.kernel
+                assert [b.reduce(p) for p in probes] == [fresh.reduce(p) for p in probes]
+
+    @given(st.lists(st.integers(0, 63), max_size=12))
+    def test_kernel_tags_pick_zero_sums(self, vectors):
+        b = RowBasis(6)
+        keys = [b.push(v, 1 << i) for i, v in enumerate(vectors)]
+        assert len(b.kernel) == keys.count(None) == len(vectors) - len(b)
+        for tag in b.kernel:
+            total = 0
+            for i, v in enumerate(vectors):
+                if tag >> i & 1:
+                    total ^= v
+            assert tag and total == 0
+        # one tag per dependent vector, each with that vector as its top bit
+        dependent = [i for i, k in enumerate(keys) if k is None]
+        assert [tag.bit_length() - 1 for tag in b.kernel] == dependent
 
 
 class TestSmallestDependentSubset:
