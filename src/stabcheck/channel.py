@@ -20,8 +20,9 @@ layout, the one `degeneracy._error_chunks` gives the table fill.  The chunk
 is decoded in numpy too: each trial's letters (X, Y, Z, I) come straight
 from its draws, kept as 53-bit integers and counted against integer
 thresholds, and the trial fails unless `degeneracy._decoded`, the one decode
-test, passes its flat indices: its syndrome is covered and its claimant's
-logical class key equals its own (in strict mode: its x and z mask keys do).
+test, passes its flat indices: its syndrome is covered and the logical class
+key in that syndrome's table row equals its own (in strict mode: its x and z
+mask keys do).
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class PauliChannel:
 
 
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
-# table, 2**20 entries, peaks at 97 MB RSS, 40 MB of it the interpreter and
-# numpy; it keeps 40 bytes an entry (syndrome, claimant, x and z mask keys,
-# class key).  Reading its dict view brings the peak to 236 MB, so 2**22 entries
+# table, 2**20 entries, peaks at 97 MB RSS, 39 MB of it the interpreter and
+# numpy; it keeps 32 bytes an entry (syndrome, x and z mask keys, class
+# key).  Reading its dict view brings the peak to 219 MB, so 2**22 entries
 # stay near 1 GB even then.
 _MAX_TABLE_ENTRIES = 1 << 22
 

@@ -164,12 +164,11 @@ class DecoderTable:
     rows, x | z << n) and `n` name the code the table was built for; `run`
     refuses a table for another code.
 
-    `syndromes` holds the claimed syndromes in ascending order and
-    `claimant` the claim of each: its index in `x`, `z` and `classes`,
-    which are in claim order, index 0 the identity's.  The fill's owner
-    array gives `claimant` directly, its sorted array of claimed keys by one
-    argsort of the claim-order syndromes; the arrays are the same either
-    way.  `x` and `z` are the claimants' mask keys, qubit j at bit j.
+    `syndromes` holds the claimed syndromes in ascending order, and row i
+    of `x`, `z` and `classes` belongs to syndrome i: the mask keys of the
+    error that claimed it, qubit j at bit j, and its class key.  Row 0 is
+    the identity's, at the zero syndrome.  Both of the fill's claim paths
+    give the same arrays.
     Class keys are those of `_letter_classes`, so two errors with equal
     syndromes differ by a stabilizer exactly when their class keys agree.
     All of them are int64, or Python ints in object arrays past 62 bits.
@@ -180,7 +179,6 @@ class DecoderTable:
     checks: tuple[int, ...]
     max_weight: int
     syndromes: np.ndarray
-    claimant: np.ndarray
     x: np.ndarray
     z: np.ndarray
     classes: np.ndarray
@@ -213,24 +211,20 @@ class DecoderTable:
 
     @cached_property
     def table(self) -> dict[int, Masks]:
-        """Syndrome -> (x, z) masks in claim order, built on first access,
-        one int object per distinct mask.
+        """Syndrome -> (x, z) masks in syndrome order, built on first
+        access, one int object per distinct mask.
 
         The 2**20 entries of the [[31,11,5]] table hold 17,623 distinct masks,
         so sharing them saves about 60 MB.  The dict is filled in blocks, so
         that the lists feeding it stay small.
         """
-        size = self.covered
-        rank = np.empty_like(self.claimant)
-        rank[self.claimant] = np.arange(size)
         shared: dict[int, int] = {}
         table: dict[int, Masks] = {}
-        for a in range(0, size, _FILL_CHUNK):
+        for a in range(0, self.covered, _FILL_CHUNK):
             block = slice(a, a + _FILL_CHUNK)
             x = [shared.setdefault(v, v) for v in self.x[block].tolist()]
             z = [shared.setdefault(v, v) for v in self.z[block].tolist()]
-            keys = self.syndromes[rank[block]].tolist()
-            table.update(zip(keys, zip(x, z)))
+            table.update(zip(self.syndromes[block].tolist(), zip(x, z)))
         return table
 
 
@@ -254,7 +248,9 @@ def fill_syndrome_map(
     the new claims are taken in chunk order, and only the index columns of
     the claimants gather mask and class keys.  The fill stops after the
     chunk in which the map is full (if `full`) and an error has collided (if
-    `collision`).
+    `collision`).  The claims are then put in syndrome order, by the claim
+    numbers the owner array holds at the sorted syndromes, or else by an
+    argsort of the claimed syndromes in claim order.
 
     Returns (table, the index row of the first error to collide or None,
     syndromes claimed before it or None); the table's max_weight is the last
@@ -309,21 +305,21 @@ def fill_syndrome_map(
         size = end
         if (not full or size == total) and (not collision or clash is not None):
             break
-    idx = syn = None  # the last chunk's arrays, freed before the copies
+    idx = syn = None  # the last chunk's arrays, freed before the gathers
     if owner is not None:
         syndromes = np.sort(claims_by_order[0][:size])
-        claimant = (owner[syndromes] - 1).astype(np.intp)
+        order = (np.take(owner, syndromes) - 1).astype(np.intp)
         owner = None
     else:
-        syndromes, claimant = claimed, np.argsort(claims_by_order[0][:size])
-    # a full buffer is the table's own array; a copy trims any other, whose
-    # spare rows would stay allocated with it
-    x, z, classes = (
-        buf if len(buf) == size else buf[:size].copy() for buf in claims_by_order[1:]
-    )
+        syndromes, order = claimed, np.argsort(claims_by_order[0][:size])
+    # gather the claims into syndrome order, one buffer at a time: each is
+    # dropped before the next gather, and the spare rows go with it.  Here
+    # np.take gathers in about half the time that indexing takes.
+    buffers = list(claims_by_order[1:])
+    claims_by_order = ()
+    x, z, classes = (np.take(buffers.pop(0), order) for _ in range(3))
     table = DecoderTable(
-        code.h.h.rows, reached, syndromes, claimant, x, z, classes,
-        letters, letter_classes
+        code.h.h.rows, reached, syndromes, x, z, classes, letters, letter_classes
     )
     return table, clash, claimed_before
 
@@ -458,26 +454,24 @@ def _decoded(
     table: DecoderTable, at: np.ndarray, strict: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether `table` decodes each error, one error per row of `at`
-    (entries 4q + a, as in `_xor_gather`), and each row's claimant: the
-    index in x, z and classes of the error the table keeps for the row's
-    syndrome, meaningful only where that syndrome is covered.
+    (entries 4q + a, as in `_xor_gather`), and each error's table row: the
+    row of its syndrome, meaningful only where that syndrome is covered.
 
-    An error is decoded when its syndrome is covered and the claimant's
-    class key equals its own, so that the two differ by a stabilizer; if
-    `strict`, when the claimant's x and z mask keys equal its own.
+    An error is decoded when its syndrome is covered and the class key in
+    its row equals its own, so that it and the row's claimant differ by a
+    stabilizer; if `strict`, when the row's x and z mask keys equal its own.
     """
     keys = table.syndromes
     syn = _xor_gather(table.letter_syndromes, at)
     row = np.minimum(np.searchsorted(keys, syn), len(keys) - 1)
-    claimant = table.claimant[row]
     ok = keys[row] == syn
     if strict:
         kept = zip(_letter_masks(table.n), (table.x, table.z))
     else:
         kept = [(table.letter_classes, table.classes)]
     for letters, claimed in kept:
-        ok &= claimed[claimant] == _xor_gather(letters, at)
-    return ok, claimant
+        ok &= claimed[row] == _xor_gather(letters, at)
+    return ok, row
 
 
 @dataclass(frozen=True)
@@ -547,10 +541,10 @@ def classify(
     if collision is not None:
         # the claimant has the error's syndrome: decoded means same class
         at = np.array([collision])
-        same_class, (c,) = _decoded(table, at)
+        same_class, (row,) = _decoded(table, at)
         x, z = _claims(at, _letter_masks(n))
         witness = CollisionWitness(
-            first=PauliOperator.from_masks(n, int(table.x[c]), int(table.z[c])),
+            first=PauliOperator.from_masks(n, int(table.x[row]), int(table.z[row])),
             second=PauliOperator.from_masks(n, int(x[0]), int(z[0])),
             product_in_stabilizer=bool(same_class[0]),
         )

@@ -373,8 +373,7 @@ class TestClaimPaths:
     Each code is filled with `_OWNER_BITS` set to its generator count, which
     takes the owner array, and to one less, which takes the sorted keys."""
 
-    FIELDS = ("syndromes", "claimant", "x", "z", "classes",
-              "letter_syndromes", "letter_classes")
+    FIELDS = ("syndromes", "x", "z", "classes", "letter_syndromes", "letter_classes")
 
     @staticmethod
     def run_both(monkeypatch, claim_paths, code, fn):
@@ -425,6 +424,44 @@ class TestClaimPaths:
         for name in self.FIELDS:
             assert getattr(owned[0], name).tolist() == getattr(keyed[0], name).tolist()
 
+    @staticmethod
+    def assert_rows_aligned(code, table):
+        """Row i of x, z and classes belongs to syndrome i: each row's
+        error has that syndrome, and decodes to that row."""
+        n, size = code.n, table.covered
+        rows = list(zip(table.syndromes.tolist(), table.x.tolist(), table.z.tolist()))
+        assert [code.syndrome_masks(x, z) for _, x, z in rows] == [s for s, _, _ in rows]
+        # each row's error as an index row 4q + a, I (a = 3) included
+        at = np.array(
+            [
+                [4 * q + (3, 0, 2, 1)[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n)]
+                for _, x, z in rows
+            ],
+            dtype=np.intp,
+        )
+        for strict in (False, True):
+            ok, row = degeneracy._decoded(table, at, strict=strict)
+            assert ok.all()
+            assert row.tolist() == list(range(size))
+
+    def test_rows_are_aligned(self, monkeypatch, claim_paths):
+        codes = [steane(), shor(), five_qubit(), three_qubit_bit_flip()]
+        codes += draw_codes(30, 6, seed=2929, css_share=0.3)
+        codes.append(random_code(70, 10, random.Random(70)))  # object class keys
+        for code in codes:
+            for max_weight in (1, None):
+                for table in self.run_both(
+                    monkeypatch, claim_paths, code, lambda: build_table(code, max_weight)
+                ):
+                    self.assert_rows_aligned(code, table)
+        # object syndromes: 63 generators, past any owner array
+        code = repetition_code(64)
+        claim_paths.clear()
+        table = build_table(code, 1)
+        assert set(claim_paths) == {"_first_free_sorted"}
+        assert table.syndromes.dtype == object
+        self.assert_rows_aligned(code, table)
+
     @pytest.mark.parametrize("n,path", [(23, "_first_free_owned"), (24, "_first_free_sorted")])
     def test_repetition_codes_at_and_past_the_cap(self, claim_paths, n, path):
         code = repetition_code(n)
@@ -434,7 +471,7 @@ class TestClaimPaths:
             t = build_table(code, w)
             assert set(claim_paths) == {path}
             table, reached = oracles.table_fill(code, w)
-            assert list(t.table.items()) == list(table.items())
+            assert t.table == table
             assert t.max_weight == reached == w
 
 
@@ -613,14 +650,14 @@ class TestDecoded:
                 masks = pauli_to_string(PauliOperator.from_masks(n, *rep))
                 residual = oracles.multiply(error, masks)
                 expected.append((True, in_stabilizer(residual), residual == "I" * n))
-            loose, claimant = degeneracy._decoded(table, idx)
+            loose, rows = degeneracy._decoded(table, idx)
             strict, _ = degeneracy._decoded(table, idx, strict=True)
             assert list(zip(loose.tolist(), strict.tolist())) == [
                 e[1:] for e in expected
             ]
-            for c, rep in zip(claimant.tolist(), claims):
+            for r, rep in zip(rows.tolist(), claims):
                 if rep is not None:
-                    assert (int(table.x[c]), int(table.z[c])) == rep
+                    assert (int(table.x[r]), int(table.z[r])) == rep
             seen.update(expected)
         return seen
 
