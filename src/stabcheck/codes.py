@@ -81,7 +81,7 @@ def random_code(
     if not 1 <= num_generators <= n:
         raise ValueError(f"need 1 <= generators <= n, got {num_generators} on {n}")
     rows: list[tuple[int, int]] = []
-    basis = RowBasis(2 * n)
+    basis = RowBasis()
     while len(rows) < num_generators:
         x = rng.getrandbits(n)
         z = rng.getrandbits(n)
@@ -113,7 +113,7 @@ def random_css_code(
         raise ValueError(f"bad block sizes ({num_x}, {num_z}) for n={n}")
     for _ in range(max_tries):
         x_rows: list[int] = []
-        xb = RowBasis(n)
+        xb = RowBasis()
         tries = 0
         while len(x_rows) < num_x and tries < 50 * (num_x + 1):
             tries += 1
@@ -126,7 +126,7 @@ def random_css_code(
         if len(null) < num_z:
             continue
         z_rows: list[int] = []
-        zb = RowBasis(n)
+        zb = RowBasis()
         tries = 0
         while len(z_rows) < num_z and tries < 50 * (num_z + 1):
             tries += 1

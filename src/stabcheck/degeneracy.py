@@ -9,9 +9,9 @@ that `build_table` also fills, in the order of `enumerate_errors`; the column
 criteria (`sufficient_nondegenerate`, `necessary_check`, `css_nondegeneracy`,
 `standard_form_shortcut`) are one-sided or CSS-exact shortcuts that look at
 linear independence of check-matrix columns instead.  The fill also gives
-each claimant its logical class key, its symplectic products with 2k
-logical operators: two errors with one syndrome differ by a stabilizer
-exactly when their class keys agree.
+each claimant its logical class key, its syndrome against 2k logical
+operators (`StabilizerCode._class_matrices`): two errors with one syndrome
+differ by a stabilizer exactly when their class keys agree.
 
 A syndrome is the sum of the check-matrix columns its error picks, so a
 syndrome, the x and z masks of an error and its class key are each one XOR
@@ -45,7 +45,13 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .stabilizer import StabilizerCode, StandardForm, css_split, standard_form
+from .stabilizer import (
+    StabilizerCode,
+    StandardForm,
+    SyndromeMatrices,
+    css_split,
+    standard_form,
+)
 from .symplectic import (
     BUDGET_EXHAUSTED,
     DEFAULT_BUDGET,
@@ -169,7 +175,7 @@ class DecoderTable:
     error that claimed it, qubit j at bit j, and its class key.  Row 0 is
     the identity's, at the zero syndrome.  Both of the fill's claim paths
     give the same arrays.
-    Class keys are those of `_letter_classes`, so two errors with equal
+    Class keys are syndromes against the logicals, so two errors with equal
     syndromes differ by a stabilizer exactly when their class keys agree.
     All of them are int64, or Python ints in object arrays past 62 bits.
     `letter_syndromes` and `letter_classes` are the per-qubit letter keys
@@ -257,8 +263,8 @@ def fill_syndrome_map(
     weight evaluated.
     """
     n, total = code.n, 1 << code.num_generators
-    letters = _letter_syndromes(code)
-    letter_classes = _letter_classes(code)
+    letters = _letter_keys(code.syndrome_matrices, code.num_generators)
+    letter_classes = _letter_keys(code._class_matrices, 2 * code.k)
     tables = (*_letter_masks(n), letter_classes)  # x, z and class keys
     owner = claimed = None
     if code.num_generators <= _OWNER_BITS:
@@ -376,10 +382,9 @@ def _letter_table(
     return np.array(rows, dtype=object if bits > 62 else np.int64)
 
 
-def _letter_syndromes(code: StabilizerCode) -> np.ndarray:
-    """The (qubit, letter) table of syndromes."""
-    sm = code.syndrome_matrices
-    return _letter_table(sm.bsm.rows, sm.psm.rows, code.num_generators)
+def _letter_keys(sm: SyndromeMatrices, bits: int) -> np.ndarray:
+    """The (qubit, letter) table of the `bits`-bit keys in the rows of `sm`."""
+    return _letter_table(sm.bsm.rows, sm.psm.rows, bits)
 
 
 @cache
@@ -391,16 +396,6 @@ def _letter_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     for table in tables:
         table.setflags(write=False)
     return tables
-
-
-def _letter_classes(code: StabilizerCode) -> np.ndarray:
-    """The (qubit, letter) table of class keys.
-
-    Bit j of a key is the symplectic product with `code._logicals[j]`, so X
-    on q reads column n + q of the logicals (their Z part), Z column q.
-    """
-    cols = Gf2Matrix(2 * code.n, code._logicals).columns()
-    return _letter_table(cols[code.n :], cols[: code.n], 2 * code.k)
 
 
 def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -193,18 +193,18 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
     a dependent set of the 2|S| syndrome columns of S (rows of bsm and psm),
     so a support needs its kernel, not all 3^w letter patterns.  Supports run
     in colex order by the DFS of `smallest_dependent_subset`; each column is
-    pushed on one `RowBasis` tagged with its operator mask (x | z << n) and
-    its class key above bit 2n, its `kernel` holds the support's kernel, and
-    backtracking pops both columns.  On the first support whose span holds a
-    non-stabilizer (class bits not 0) using every qubit of S, the lex-least
-    letter pattern (X < Y < Z, lowest qubit most significant) is returned: the
-    operator that colex supports with lex letters meet first.
+    pushed on one `RowBasis` tagged with its operator mask (x | z << n) and,
+    above bit 2n, its row of `code._class_matrices`, its `kernel` holds the
+    support's kernel, and backtracking pops both columns.  On the first
+    support whose span holds a non-stabilizer (class bits not 0) using every
+    qubit of S, the lex-least letter pattern (X < Y < Z, lowest qubit most
+    significant) is returned: the operator that colex supports with lex
+    letters meet first.
     """
     n = code.n
     low = (1 << n) - 1
-    sm = code.syndrome_matrices
-    classes = Gf2Matrix(2 * n, code._logicals).columns()
-    basis = RowBasis(sm.bsm.cols)
+    sm, cm = code.syndrome_matrices, code._class_matrices
+    basis = RowBasis()
 
     def best_on(support: int) -> tuple[int, int] | None:
         span = [0]
@@ -224,8 +224,8 @@ def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
 
     def extend(bound: int, depth: int, support: int) -> tuple[int, int] | None:
         for q in range(depth - 1, bound):
-            kx = basis.push(sm.bsm.rows[q], 1 << q | classes[n + q] << 2 * n)
-            kz = basis.push(sm.psm.rows[q], 1 << (n + q) | classes[q] << 2 * n)
+            kx = basis.push(sm.bsm.rows[q], 1 << q | cm.bsm.rows[q] << 2 * n)
+            kz = basis.push(sm.psm.rows[q], 1 << (n + q) | cm.psm.rows[q] << 2 * n)
             if depth > 1:
                 hit = extend(q, depth - 1, support | 1 << q)
             else:

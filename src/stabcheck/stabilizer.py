@@ -104,13 +104,8 @@ class CheckMatrix:
         ]
         if bad_pairs:
             raise NonCommutingGeneratorsError(tuple(bad_pairs))
-        n = lengths[0]
-        basis = RowBasis(2 * n)
-        dependent = [
-            i
-            for i, g in enumerate(gens)
-            if not basis.add(g.x.bits | (g.z.bits << n))
-        ]
+        basis = RowBasis()
+        dependent = [i for i, r in enumerate(self.h.rows) if not basis.add(r)]
         if dependent:
             raise DependentGeneratorsError(tuple(dependent))
 
@@ -175,7 +170,7 @@ class Syndrome:
 
 @dataclass(frozen=True)
 class SyndromeMatrices:
-    """Syndrome lookup matrices, both n x (n-k).
+    """Syndrome lookup matrices, n x (rows): the n-k checks or the 2k logicals.
 
     Row i of `bsm` is the syndrome of a single X on qubit i+1 (equivalently
     column i of H_Z); row i of `psm` is the syndrome of a single Z there
@@ -230,22 +225,32 @@ class StabilizerCode:
     def _logicals(self) -> tuple[int, ...]:
         """2k logical operators (x | z << n) that span the normalizer modulo S.
 
-        The normalizer is the kernel of the symplectic form against the check
-        rows; each kernel vector is reduced modulo S and the operators kept so
-        far, and kept when a residue remains.  Bit j of a class key is the
-        symplectic product with logical j.  The logicals' products among
-        themselves form an invertible matrix, so an operator with zero
-        syndrome is in S exactly when its class key is 0.
+        The normalizer is the kernel of the syndrome map, whose matrix has
+        the rows of bsm and psm as its columns; each kernel vector is reduced
+        modulo S and the operators kept so far, and kept when a residue
+        remains.  The logicals' products among themselves form an invertible
+        matrix, so an operator with zero syndrome is in S exactly when its
+        class key (`_class_matrices`) is 0.
         """
-        n, low = self.n, (1 << self.n) - 1
-        swapped = Gf2Matrix(2 * n, tuple(r >> n | (r & low) << n for r in self.h.h.rows))
-        basis = RowBasis(2 * n, self.h.h.rows)
+        sm = self.syndrome_matrices
+        syndrome_map = Gf2Matrix(self.num_generators, sm.bsm.rows + sm.psm.rows)
+        basis = RowBasis(self.h.h.rows)
         logicals = []
-        for v in kernel_basis(swapped):
+        for v in kernel_basis(syndrome_map.transpose()):
             residue = basis.reduce(v.bits)
             if basis.add(residue):
                 logicals.append(residue)
         return tuple(logicals)
+
+    @cached_property
+    def _class_matrices(self) -> SyndromeMatrices:
+        """Syndrome matrices of the logicals: row q of `bsm` is the class key of
+        X on qubit q, row q of `psm` that of Z, bit j against logical j."""
+        n, low = self.n, (1 << self.n) - 1
+        return SyndromeMatrices(
+            bsm=Gf2Matrix(n, tuple(v >> n for v in self._logicals)).transpose(),
+            psm=Gf2Matrix(n, tuple(v & low for v in self._logicals)).transpose(),
+        )
 
     def syndrome_masks(self, x: int, z: int) -> int:
         """Syndrome as an int, from raw (x, z) masks; `syndrome` calls it."""
@@ -254,9 +259,8 @@ class StabilizerCode:
 
     def in_stabilizer_masks(self, x: int, z: int) -> bool:
         """Membership of (x|z) in S: zero syndrome and zero class key."""
-        swapped = z | x << self.n
-        key = ((swapped & v).bit_count() & 1 for v in self._logicals)
-        return not self.syndrome_masks(x, z) and not any(key)
+        cm = self._class_matrices
+        return not (self.syndrome_masks(x, z) or cm.bsm.vec_mat(x) ^ cm.psm.vec_mat(z))
 
     def in_stabilizer(self, p: PauliOperator) -> bool:
         self._check_n(p)

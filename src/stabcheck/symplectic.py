@@ -356,7 +356,7 @@ def gf2_invert(m: Gf2Matrix) -> Gf2Matrix:
 def kernel_basis(m: Gf2Matrix) -> tuple[BitVector, ...]:
     """Basis of {v : m @ v = 0}: column j is pushed tagged e_j, so a column f
     spanned by earlier ones leaves the vector the RREF builds for free column f."""
-    basis = RowBasis(m.nrows)
+    basis = RowBasis()
     for j, col in enumerate(m.columns()):
         basis.push(col, 1 << j)
     return tuple(BitVector(m.cols, v) for v in basis.kernel)
@@ -368,8 +368,7 @@ class RowBasis:
     `push` eliminates a tag along with its vector; one that reduces to 0 leaves
     its tag on `kernel`.  `pop` undoes the last push; `add` tags nothing."""
 
-    def __init__(self, width: int, rows: Iterable[int] = ()):
-        self.width = width
+    def __init__(self, rows: Iterable[int] = ()):
         self._pivot_rows: dict[int, int] = {}
         self._tags: dict[int, int] = {}
         self.kernel: list[int] = []

@@ -352,7 +352,7 @@ def subset_search_dfs(m: Gf2Matrix, max_size: int, budget: int) -> SubsetSearch:
                 return tuple(sorted(chosen + [c]))
             if depth > 1:
                 wider = chosen + [c]
-                hit = extend(RowBasis(m.nrows, [cols[j] for j in wider]), c, depth - 1, wider)
+                hit = extend(RowBasis([cols[j] for j in wider]), c, depth - 1, wider)
                 if hit is not None:
                     return hit
         return None
@@ -360,7 +360,7 @@ def subset_search_dfs(m: Gf2Matrix, max_size: int, budget: int) -> SubsetSearch:
     verified = 0
     try:
         for size in range(1, max_size + 1):
-            hit = extend(RowBasis(m.nrows), m.cols, size, [])
+            hit = extend(RowBasis(), m.cols, size, [])
             if hit is not None:
                 return SubsetSearch(DEPENDENT_FOUND, hit, visited, verified)
             verified = size

@@ -132,7 +132,7 @@ class TestDecoderTable:
         # round syndromes of more than 53 bits; 62 bits is the widest held in
         # int64
         code = repetition_code(63)
-        letters = degeneracy._letter_syndromes(code)
+        letters = degeneracy._letter_keys(code.syndrome_matrices, code.num_generators)
         assert letters.dtype == np.int64
         for _, idx in degeneracy._error_chunks(63, 2):
             assert idx.dtype == np.intp
@@ -174,8 +174,8 @@ class TestDecoderTable:
             assert at.dtype == np.intp
             x_masks, z_masks = degeneracy._letter_masks(n)
             for keys, dtype in (
-                (degeneracy._letter_syndromes(code), syn_dtype),
-                (degeneracy._letter_classes(code), cls_dtype),
+                (degeneracy._letter_keys(code.syndrome_matrices, code.num_generators), syn_dtype),
+                (degeneracy._letter_keys(code._class_matrices, 2 * code.k), cls_dtype),
                 (x_masks, mask_dtype),
                 (z_masks, mask_dtype),
             ):
@@ -186,7 +186,7 @@ class TestDecoderTable:
         code = repetition_code(63)
         letters = np.full((1, 63), 3)
         letters[0, 61:] = 0  # X on the last two qubits
-        syndromes = degeneracy._letter_syndromes(code)
+        syndromes = degeneracy._letter_keys(code.syndrome_matrices, code.num_generators)
         assert gather(syndromes, 4 * np.arange(63) + letters).tolist() == [1 << 60]
         for n, dtype in ((62, np.int64), (64, object)):
             letters = np.full((1, n), 3)
@@ -298,7 +298,7 @@ class TestFillAgainstLoop:
     def test_syndromes_past_int64(self):
         # 63 syndrome bits: the fill holds them as Python ints in object arrays
         code = repetition_code(64)
-        assert degeneracy._letter_syndromes(code).dtype == object
+        assert degeneracy._letter_keys(code.syndrome_matrices, code.num_generators).dtype == object
         self.assert_same(code, 1)
         t = build_table(code, 1)
         assert t.table[1 << 62] == (1 << 63, 0)  # X on the last qubit
@@ -534,7 +534,7 @@ class TestAgainstOracle:
         # k = 0: class keys are 0 bits wide, so only uncovered syndromes fail
         # a loose decode
         code = css_state_6_0()
-        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0, 0]] * 6
+        assert degeneracy._letter_keys(code._class_matrices, 2 * code.k).tolist() == [[0, 0, 0, 0]] * 6
         ch = PauliChannel(0.06, 0.03, 0.05)
         for table in (build_table(code), build_table(code, 1)):
             expected = oracles.simulate_failures(code, ch, 400, 3, table.table, strict)

@@ -336,7 +336,7 @@ class TestWideCodes:
     @pytest.mark.parametrize("t", [1, 2])
     def test_repetition_code(self, t):
         code = repetition_code(66)
-        assert degeneracy._letter_syndromes(code).dtype == object
+        assert degeneracy._letter_keys(code.syndrome_matrices, code.num_generators).dtype == object
         claims = oracles.claim_syndromes(generator_strings(code), t)
         for exhaustive in (False, True):
             r, _ = assert_matches_claims(code, t, exhaustive, claims, span=False)
@@ -564,7 +564,7 @@ class TestClassKeys:
             for a in logicals
         ]
         assert gf2_rank(gram) == 2 * k
-        keys = degeneracy._letter_classes(code)
+        keys = degeneracy._letter_keys(code._class_matrices, 2 * code.k)
         assert keys.shape == (n, 4)
         assert keys[:, 3].tolist() == [0] * n  # I commutes with every logical
         for q in range(n):
@@ -575,6 +575,17 @@ class TestClassKeys:
                     for j, logical in enumerate(logicals)
                 )
                 assert keys[q, i] == want, (q, letter)
+        # the class matrices hold the X and Z keys, bit j against logical j
+        cm = code._class_matrices
+        for matrix, letter in ((cm.bsm, "X"), (cm.psm, "Z")):
+            assert matrix.nrows == n and matrix.cols == 2 * k
+            for q in range(n):
+                error = "I" * q + letter + "I" * (n - q - 1)
+                for j, logical in enumerate(logicals):
+                    bit = matrix.rows[q] >> j & 1
+                    assert bit == oracles.anticommutes(error, logical), (q, letter, j)
+        assert keys[:, 0].tolist() == list(cm.bsm.rows)
+        assert keys[:, 2].tolist() == list(cm.psm.rows)
 
     def test_random_codes(self):
         for code in draw_codes(60, 8, seed=21, css_share=0.3):
@@ -588,12 +599,12 @@ class TestClassKeys:
         code = css_state_6_0()
         self.assert_keys(code)
         assert code._logicals == ()
-        assert degeneracy._letter_classes(code).tolist() == [[0, 0, 0, 0]] * 6
+        assert degeneracy._letter_keys(code._class_matrices, 2 * code.k).tolist() == [[0, 0, 0, 0]] * 6
 
     def test_wide_code(self):
         code = random_code(70, 10, random.Random(70))
         self.assert_keys(code)
-        assert degeneracy._letter_classes(code).dtype == object  # 120 bits
+        assert degeneracy._letter_keys(code._class_matrices, 2 * code.k).dtype == object  # 120 bits
 
     def test_equal_keys_decide_stabilizer_products(self):
         # two errors with one syndrome differ by a stabilizer exactly when
@@ -602,7 +613,7 @@ class TestClassKeys:
         for code in draw_codes(30, 6, seed=5, css_share=0.3):
             gens = generator_strings(code)
             group = oracles.span(gens)
-            classes = degeneracy._letter_classes(code)
+            classes = degeneracy._letter_keys(code._class_matrices, 2 * code.k)
             by_syndrome: dict[str, list[str]] = {}
             for e in ["I" * code.n, *oracles.errors_up_to(code.n, 2)]:
                 by_syndrome.setdefault(oracles.syndrome_string(gens, e), []).append(e)

@@ -569,7 +569,7 @@ def _self_orthogonal_css(rng: random.Random, n: int) -> StabilizerCode:
     """CSS code whose X and Z generators share one random self-orthogonal
     matrix: even-weight rows drawn from the dual of the rows so far."""
     rows: list[int] = []
-    basis = RowBasis(n)
+    basis = RowBasis()
     target = rng.randint(1, n // 2)
     while len(rows) < target:
         v = 0

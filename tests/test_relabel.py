@@ -11,6 +11,7 @@ is not compared, since its ties break in enumeration order.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import oracles
@@ -65,6 +66,16 @@ class TestRelabeledCodes:
                 assert bounds.exact in (None, d)
             if original.n == 31 and image is not original:
                 assert not sc.is_css(image)  # BCH's d = 5 on the non-CSS paths
+
+    def test_bch_image_witnesses_are_frozen(self):
+        # the d = 5 searches on non-CSS codes, whose tags carry class keys
+        pairs = list(images([bch_31_11()], 4, seed=11))[1:]
+        witnesses = [min_distance(image).witness for _, image in pairs]
+        assert [w.weight for w in witnesses] == [5] * 4
+        joined = "\n".join(str(w) for w in witnesses).encode()
+        assert hashlib.sha256(joined).hexdigest() == (
+            "da1c3560972a5a0e73b704c6916b2630a86c00db4146862e34b83d117f31a824"
+        )
 
     def test_relabel_keeps_weight_enumerators(self):
         enumerators = {}

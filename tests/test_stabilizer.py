@@ -227,7 +227,7 @@ class TestStandardForm:
                 out |= ((row >> orig) & 1) << pos
                 out |= ((row >> (n + orig)) & 1) << (n + pos)
             permuted.append(out)
-        basis = RowBasis(2 * n, permuted)
+        basis = RowBasis(permuted)
         for row in sf.matrix.rows:
             assert basis.contains(row)
 
@@ -255,7 +255,7 @@ class TestCssSplit:
 
     def test_split_blocks_span_pure_parts(self, shor):
         split = css_split(shor)
-        x_basis = RowBasis(9, split.x_block.rows)
+        x_basis = RowBasis(split.x_block.rows)
         for g in generator_strings(shor):
             if "Z" not in g:
                 p = pauli_from_string(g)

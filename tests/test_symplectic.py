@@ -251,20 +251,20 @@ class TestRowReduce:
 
 class TestRowBasis:
     def test_add_reports_independence(self):
-        b = RowBasis(4)
+        b = RowBasis()
         assert b.add(0b0011)
         assert b.add(0b0101)
         assert not b.add(0b0110)  # xor of the first two
         assert len(b) == 2
 
     def test_contains(self):
-        b = RowBasis(4, [0b0011, 0b0101])
+        b = RowBasis([0b0011, 0b0101])
         assert b.contains(0b0110)
         assert b.contains(0)
         assert not b.contains(0b1000)
 
     def test_add_never_touches_kernel(self):
-        b = RowBasis(4, [0b0011, 0b0011, 0])
+        b = RowBasis([0b0011, 0b0011, 0])
         assert b.add(0b0101) is True
         assert b.add(0b0110) is False
         assert b.add(0) is False
@@ -278,7 +278,7 @@ class TestRowBasis:
         width = 5
         probes = range(1 << width)
         for _ in range(300):
-            b = RowBasis(width)
+            b = RowBasis()
             stack: list[tuple[int, int, int | None]] = []
             for _ in range(rng.randint(0, 24)):
                 if stack and rng.random() < 0.4:
@@ -286,7 +286,7 @@ class TestRowBasis:
                 else:
                     v, tag = rng.getrandbits(width), rng.getrandbits(8)
                     stack.append((v, tag, b.push(v, tag)))
-                fresh = RowBasis(width)
+                fresh = RowBasis()
                 for v, tag, _ in stack:
                     fresh.push(v, tag)
                 assert len(b) == len(fresh)
@@ -295,7 +295,7 @@ class TestRowBasis:
 
     @given(st.lists(st.integers(0, 63), max_size=12))
     def test_kernel_tags_pick_zero_sums(self, vectors):
-        b = RowBasis(6)
+        b = RowBasis()
         keys = [b.push(v, 1 << i) for i, v in enumerate(vectors)]
         assert len(b.kernel) == keys.count(None) == len(vectors) - len(b)
         for tag in b.kernel:
