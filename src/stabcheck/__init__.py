@@ -39,7 +39,6 @@ from .degeneracy import (
     CriterionOutcome,
     ErrorEnumerator,
     Verdict,
-    all_subsets_independent,
     classify,
     css_nondegeneracy,
     enumerate_errors,
@@ -127,7 +126,6 @@ __all__ = [
     "enumerate_errors",
     "error_count",
     "classify",
-    "all_subsets_independent",
     "sufficient_nondegenerate",
     "necessary_check",
     "css_nondegeneracy",

@@ -56,7 +56,6 @@ from .symplectic import (
     BUDGET_EXHAUSTED,
     DEFAULT_BUDGET,
     DEPENDENT_FOUND,
-    Gf2Matrix,
     PauliOperator,
     SubsetSearch,
     smallest_dependent_subset,
@@ -72,7 +71,6 @@ __all__ = [
     "error_count",
     "alt_error_count",
     "classify",
-    "all_subsets_independent",
     "sufficient_nondegenerate",
     "necessary_check",
     "css_nondegeneracy",
@@ -109,8 +107,7 @@ class ErrorEnumerator:
     t: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.t <= self.n:
-            raise ValueError(f"t={self.t} outside 1..{self.n}")
+        _check_t(self.n, self.t)
 
     def __iter__(self) -> Iterator[PauliOperator]:
         letter_masks = _letter_masks(self.n)
@@ -525,7 +522,7 @@ def classify(
     files their outcomes under "sufficient_columns", "necessary_columns",
     "css_blocks" and "standard_form"; "exact" is always present.
     """
-    _check_t(code, t)
+    _check_t(code.n, t)
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
     n = code.n
@@ -548,11 +545,12 @@ def classify(
         "exact": CriterionOutcome(verdict.value)
     }
     if with_criteria:
-        # One search up to 4t (2t when 4t > 2n) runs the levels of both
-        # stand-alone searches in their order, so it settles both criteria.
+        # One search of [H_X|H_Z] up to 4t (2t when 4t > 2n) runs the levels
+        # that `sufficient_nondegenerate` and `necessary_check` search on
+        # their own, in their order, so it settles both criteria.
         sufficient = 4 * t <= 2 * n
-        search = all_subsets_independent(
-            code, 4 * t if sufficient else 2 * t, budget=budget
+        search = smallest_dependent_subset(
+            code.h.h, 4 * t if sufficient else 2 * t, budget=budget
         )
         if sufficient:
             criteria["sufficient_columns"] = _sufficient_outcome(search, t)
@@ -573,37 +571,6 @@ def classify(
     )
 
 
-def _selected_block(code: StabilizerCode, which: str) -> Gf2Matrix:
-    if which == "full":
-        return code.h.h
-    if which == "x_only":
-        return code.h.h_x
-    if which == "z_only":
-        return code.h.h_z
-    raise ValueError(f"unknown block {which!r}; use full, x_only or z_only")
-
-
-def all_subsets_independent(
-    code: StabilizerCode,
-    m: int,
-    which: str = "full",
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> SubsetSearch:
-    """Are all m-subsets of columns of the chosen block independent?
-
-    Searches subsets of size <= m (dependence is monotone under supersets, so
-    a small dependent subset settles every larger size); outcome is
-    "all_independent", "dependent_found" with a minimal witness, or
-    "budget_exhausted".  For the full block, columns 0..n-1 are X columns and
-    n..2n-1 Z columns.
-    """
-    block = _selected_block(code, which)
-    if m > block.cols:
-        raise ValueError(f"m={m} exceeds {block.cols} columns of {which}")
-    return smallest_dependent_subset(block, m, budget=budget)
-
-
 def sufficient_nondegenerate(
     code: StabilizerCode, t: int, *, budget: int = DEFAULT_BUDGET
 ) -> CriterionOutcome:
@@ -612,11 +579,11 @@ def sufficient_nondegenerate(
     Never returns proven_degenerate; a dependent subset is inconclusive here.
     Requires 4t <= 2n.
     """
-    _check_t(code, t)
+    _check_t(code.n, t)
     if 4 * t > 2 * code.n:
         raise ValueError(f"4t={4 * t} exceeds the {2 * code.n} columns of [H_X|H_Z]")
     return _sufficient_outcome(
-        all_subsets_independent(code, 4 * t, "full", budget=budget), t
+        smallest_dependent_subset(code.h.h, 4 * t, budget=budget), t
     )
 
 
@@ -629,9 +596,9 @@ def necessary_check(
     errors with equal syndromes, so this direction is a proof; all subsets
     independent is inconclusive (nondegeneracy needs more).
     """
-    _check_t(code, t)
+    _check_t(code.n, t)
     return _necessary_outcome(
-        all_subsets_independent(code, 2 * t, "full", budget=budget), t
+        smallest_dependent_subset(code.h.h, 2 * t, budget=budget), t
     )
 
 
@@ -662,7 +629,7 @@ def css_nondegeneracy(
     is independent in both the X block and the Z block (blocks taken from the
     row-equivalent CSS form).  Returns not_css when no CSS form exists.
     """
-    _check_t(code, t)
+    _check_t(code.n, t)
     split = css_split(code)
     if split is None:
         return CriterionOutcome.NOT_CSS
@@ -685,17 +652,15 @@ def standard_form_shortcut(sf: StandardForm, t: int) -> CriterionOutcome:
     Z-type error, so the code is proven degenerate.  Anything else is
     inconclusive.
     """
-    if not 1 <= t <= sf.n:
-        raise ValueError(f"t={t} outside 1..{sf.n}")
+    _check_t(sf.n, t)
     if sf.r != sf.n - sf.k:
         return CriterionOutcome.INCONCLUSIVE
-    b = sf.b
-    for j in range(b.cols):
-        if b.column(j).bit_count() <= t - 1:
+    for column in sf.b.columns():
+        if column.bit_count() <= t - 1:
             return CriterionOutcome.PROVEN_DEGENERATE
     return CriterionOutcome.INCONCLUSIVE
 
 
-def _check_t(code: StabilizerCode, t: int) -> None:
-    if not 1 <= t <= code.n:
-        raise ValueError(f"t={t} outside 1..{code.n}")
+def _check_t(n: int, t: int) -> None:
+    if not 1 <= t <= n:
+        raise ValueError(f"t={t} outside 1..{n}")

@@ -115,7 +115,7 @@ def column_bounds(
     block is rows of one reduced echelon form, so its rank is its row count.
     The one elimination is `css_split`'s own.
     """
-    _check_t(code, t)
+    _check_t(code.n, t)
     order, exhausted = _independence_order(code.h.h, code.num_generators, budget)
     lower = 2 * (order // 4) + 1
     upper: int | None = None

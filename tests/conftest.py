@@ -62,6 +62,21 @@ def fill_chunks(monkeypatch):
     return chunks
 
 
+@pytest.fixture
+def claim_paths(monkeypatch):
+    """Names of the claim path each chunk of a fill took, in order."""
+    paths = []
+    for name in ("_first_free_owned", "_first_free_sorted"):
+        inner = getattr(degeneracy, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            paths.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(degeneracy, name, counted)
+    return paths
+
+
 def repetition_code(n: int) -> sc.StabilizerCode:
     """Z_i Z_{i+1} on n qubits: n - 1 syndrome bits; X on qubit n - 1 sets the top."""
     return sc.StabilizerCode.from_strings(
@@ -126,3 +141,37 @@ def css_state_6_0() -> sc.StabilizerCode:
         "IXXXII", "XIXIXI", "XXIIIX",
         "ZIIIZZ", "IZIZIZ", "IIZZZI",
     )
+
+
+def rotated_surface(d: int) -> sc.StabilizerCode:
+    """[[d^2, 1, d]] rotated surface code, for odd d >= 3.
+
+    Qubit (r, c) of the d x d grid is letter r * d + c.  Face (i, j),
+    0 <= i, j <= d - 2, checks its four corners with X when i + j is even,
+    else with Z.  Weight-2 X checks close the top and bottom edges, weight-2
+    Z checks the left and right: X on (0, j), (0, j+1) for odd j and on
+    (d-1, j), (d-1, j+1) for even j; Z on (i, 0), (i+1, 0) for even i and on
+    (i, d-1), (i+1, d-1) for odd i; of the 16 parity choices for the four
+    edges, this one gives k = 1 at d = 3, 5 and 7.  Qubits (0, 0) and (1, 0)
+    lie in one X check, face (0, 0), and in no other, so Z on either has one
+    syndrome: [H_X|H_Z] has two equal columns, and its column order is 1.
+    """
+
+    def check(letter: str, cells) -> str:
+        chars = ["I"] * (d * d)
+        for r, c in cells:
+            chars[r * d + c] = letter
+        return "".join(chars)
+
+    gens = [
+        check("XZ"[(i + j) % 2], [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)])
+        for i in range(d - 1)
+        for j in range(d - 1)
+    ]
+    for j in range(d - 1):
+        row = 0 if j % 2 else d - 1
+        gens.append(check("X", [(row, j), (row, j + 1)]))
+    for i in range(d - 1):
+        col = 0 if i % 2 == 0 else d - 1
+        gens.append(check("Z", [(i, col), (i + 1, col)]))
+    return sc.StabilizerCode.from_strings(*gens)

@@ -18,7 +18,6 @@ from stabcheck import (
     CriterionOutcome,
     StabilizerCode,
     Verdict,
-    all_subsets_independent,
     build_table,
     classify,
     column_bounds,
@@ -44,7 +43,7 @@ from stabcheck import (
 )
 from stabcheck import degeneracy
 from stabcheck.degeneracy import alt_error_count
-from stabcheck.symplectic import ALL_INDEPENDENT, DEPENDENT_FOUND, PauliOperator
+from stabcheck.symplectic import ALL_INDEPENDENT, PauliOperator, smallest_dependent_subset
 
 
 class TestEnumeration:
@@ -350,21 +349,6 @@ class TestWideCodes:
         claims = oracles.claim_syndromes(generator_strings(code), t)
         for exhaustive in (False, True):
             assert_matches_claims(code, t, exhaustive, claims, span=False)
-
-
-@pytest.fixture
-def claim_paths(monkeypatch):
-    """Names of the claim path each chunk of a fill took, in order."""
-    paths = []
-    for name in ("_first_free_owned", "_first_free_sorted"):
-        inner = getattr(degeneracy, name)
-
-        def counted(*args, _inner=inner, _name=name):
-            paths.append(_name)
-            return _inner(*args)
-
-        monkeypatch.setattr(degeneracy, name, counted)
-    return paths
 
 
 class TestClaimPaths:
@@ -756,14 +740,10 @@ class TestColumnCriteria:
         assert standard_form_shortcut(sf, 1) is CriterionOutcome.INCONCLUSIVE
 
     def test_subset_scopes(self, steane):
-        full = all_subsets_independent(steane, 2, "full")
-        assert full.outcome == ALL_INDEPENDENT
-        x_only = all_subsets_independent(steane, 3, "x_only")
-        assert x_only.outcome == DEPENDENT_FOUND
-        with pytest.raises(ValueError):
-            all_subsets_independent(steane, 2, "both")
-        with pytest.raises(ValueError):
-            all_subsets_independent(steane, 15, "x_only")
+        # the criteria search the full check matrix [H_X|H_Z], 14 columns
+        assert smallest_dependent_subset(steane.h.h, 2).outcome == ALL_INDEPENDENT
+        with pytest.raises(ValueError, match="exceeds"):
+            smallest_dependent_subset(steane.h.h, 15)
 
     def test_budget_exhaustion_surfaces(self, steane):
         r = classify(steane, 1, with_criteria=True, budget=3)

@@ -341,6 +341,13 @@ class TestSmallestDependentSubset:
         s = smallest_dependent_subset(m, 2, budget=0)
         assert (s.outcome, s.visited, s.verified) == (BUDGET_EXHAUSTED, 0, 0)
 
+    def test_subset_size_outside_columns_rejected(self):
+        m = Gf2Matrix.identity(3)
+        with pytest.raises(ValueError, match="exceeds"):
+            smallest_dependent_subset(m, m.cols + 1)
+        with pytest.raises(ValueError, match="negative subset size"):
+            smallest_dependent_subset(m, -1)
+
     @given(small_matrices, st.integers(1, 5))
     @settings(max_examples=150)
     def test_matches_brute_force(self, m, max_size):
