@@ -6,8 +6,8 @@ R * E lands in the stabilizer row space (degenerate decoding: correcting up
 to a stabilizer element is a success).  Each trial draws from its own
 counter-based stream keyed by (seed, trial index), so results are bit-exact
 reproducible and independent of how trials are split across workers.
-`run` starts at most one process per CPU and hands each one contiguous span
-of trials, so the decoder table is pickled once per process.
+`run` starts at most one process per CPU it may run on and hands each one
+contiguous span of trials, so the decoder table is pickled once per process.
 
 `run` draws a chunk of trials at once: `_uniforms` evaluates Philox4x64-10
 (Salmon et al., SC 2011) in numpy across every trial of the chunk and gives
@@ -16,7 +16,9 @@ trial])).random(n)`, so the errors are those of the per-trial reference
 `sample_error(channel, n, _trial_rng(seed, trial))`.  The rounds run
 qubit-major, on (blocks, trials) arrays, so each qubit's draws are one
 contiguous column, and the chunk's letters and flat indices 4q + a keep that
-layout, the one `degeneracy._error_chunks` gives the table fill.  The chunk
+layout, the one `degeneracy._error_chunks` gives the table fill.  A span of
+trials is sampled in one workspace, allocated once and reused by every
+chunk, with the rounds in place.  The chunk
 is decoded in numpy too: each trial's letters (X, Y, Z, I) come straight
 from its draws, kept as 53-bit integers and counted against integer
 thresholds, and the trial fails unless `degeneracy._decoded`, the one decode
@@ -141,13 +143,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 # Philox blocks sampled per batch in `_run_range`: a chunk holds
 # max(1, _CHUNK_WORDS // ceil(n / 4)) trials of ceil(n / 4) blocks each.  Each
-# of the four state arrays of its rounds holds one uint64 word per block,
+# of the eight planes of its workspace holds one uint64 word per block,
 # 8192 words or 64 kB whatever n is, so a chunk draws 4 * 8192 = 32,768 words
 # and numpy's per-call cost is spread over that many on small codes too.
 # 8192 blocks are 1024 trials of the 31-qubit BCH code; Steane gets 4096
 # trials a chunk, the 3-qubit repetition code 8192.  Steane at 20k trials
-# then Shor at 2k, tables built beforehand, raise the peak RSS by 1.2 MB in a
-# process of their own, against 0.1 MB with 1024-trial chunks.
+# then Shor at 2k, tables built beforehand, raise the peak RSS by 0.9-1.0 MB
+# in a process of their own, against 0.4 MB with 2048-word chunks.
 _CHUNK_WORDS = 8192
 
 # Philox4x64-10 constants.  Everything stays np.uint64, because NumPy 1.x
@@ -161,15 +163,68 @@ _U32 = np.uint64(32)
 _U11 = np.uint64(11)
 
 
-def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * m, from 32-bit halves."""
-    a_lo, a_hi = a & _LOW32, a >> _U32
+def _mulhilo(
+    a: np.ndarray, m: np.uint64, hi=None, t=None, u=None, v=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * m, from 32-bit halves;
+    given scratch hi, t, u, v like a, in place into hi and a."""
+    if hi is None:
+        a, hi, t, u, v = a.copy(), *(np.empty_like(a) for _ in range(4))
     m_lo, m_hi = m & _LOW32, m >> _U32
-    lo_lo = a_lo * m_lo
-    hi_lo = a_hi * m_lo
-    # at most 2**64 - 1, so this sum cannot wrap
-    mid = (lo_lo >> _U32) + (hi_lo & _LOW32) + a_lo * m_hi
-    return a_hi * m_hi + (hi_lo >> _U32) + (mid >> _U32), a * m
+    np.bitwise_and(a, _LOW32, t)
+    np.right_shift(a, _U32, u)
+    a *= m
+    np.multiply(t, m_lo, v)
+    v >>= _U32
+    t *= m_hi
+    t += v  # at most 2**64 - 1, and so is the sum with (a_hi * m_lo) & _LOW32
+    np.multiply(u, m_lo, v)
+    u *= m_hi
+    np.right_shift(v, _U32, hi)
+    hi += u
+    v &= _LOW32
+    t += v
+    t >>= _U32
+    hi += t
+    return hi, a
+
+
+def _draws(
+    n: int, seed: int, start: int, stop: int, words: np.ndarray | None = None
+) -> np.ndarray:
+    """`_uniforms(seed, start, stop, n).T` in planes 4 to 7 of `words` (fresh
+    if omitted), eight planes that each op takes a contiguous prefix of."""
+    blocks, trials = -(-n // 4), stop - start
+    if words is None:
+        words = np.empty((8, blocks * trials), dtype=np.uint64)
+    c0, c1, c2, c3, hi, t, u, v = (p[: blocks * trials].reshape(blocks, -1) for p in words)
+    k0, k1 = np.full(1, seed, dtype=np.uint64), np.arange(start, stop, dtype=np.uint64)
+    # counter words 1 to 3 start as 0, so round 1 leaves c0 = k0, c1 = 0,
+    # c2 = hi0 ^ k1 and c3 = lo0, and round 2's first product is the seed's
+    hi0, lo0 = _mulhilo(np.arange(1, blocks + 1, dtype=np.uint64)[:, None], _PHILOX_M0)
+    np.bitwise_xor(hi0, k1, c2)
+    seed_hi, seed_lo = _mulhilo(k0, _PHILOX_M0)
+    k0 += _PHILOX_W0
+    k1 += _PHILOX_W1
+    _mulhilo(c2, _PHILOX_M1, hi, t, u, v)
+    np.bitwise_xor(hi, k0, c0)
+    np.bitwise_xor(seed_hi ^ lo0, k1, c3)
+    c1[...] = seed_lo
+    c1, c2, c3 = c2, c3, c1
+    # rounds 3 to 10 in place: the new c2 = hi0 ^ c3 ^ k1 lands on c3, the
+    # new c0 = hi1 ^ c1 ^ k0 on c1, and c0 and c2 take their own low words
+    for _ in range(8):
+        k0 += _PHILOX_W0
+        k1 += _PHILOX_W1
+        for a, b, m, k in ((c0, c3, _PHILOX_M0, k1), (c2, c1, _PHILOX_M1, k0)):
+            _mulhilo(a, m, hi, t, u, v)
+            b ^= hi
+            b ^= k
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    out = words[4:].reshape(-1)[: n * trials].reshape(n, trials)
+    for w, c in enumerate((c0, c1, c2, c3)):
+        np.right_shift(c[: len(range(w, n, 4))], _U11, out[w::4])
+    return out
 
 
 def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
@@ -179,9 +234,10 @@ def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     numpy's Philox keeps a 4-word buffer and increments its counter before
     it fills the buffer, so draw b of a fresh generator is word b % 4 of the
     block at counter (b // 4 + 1, 0, 0, 0) under key (seed, trial), and its
-    uniform is the word's top 53 bits.  Counter words 1 to 3 start as one
-    zero that broadcasts, so round 1's second product and round 2's first
-    run on a single element; from round 3 on every word is a full array.
+    uniform is the word's top 53 bits.  Counter words 1 to 3 start as 0, so
+    round 1 multiplies the block counters alone and round 2's first product
+    is the seed's, a single element; from round 3 on every word is a full
+    array.
 
     The rounds run qubit-major: every full word is a (blocks, trials) array,
     so the trial key k1 broadcasts along contiguous rows.  The result is the
@@ -189,19 +245,7 @@ def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     qubit.  k0 and k1 stay uint64 arrays, which wrap silently where the key
     schedule passes 2**64; numpy scalars warn there.
     """
-    blocks = -(-n // 4)
-    k0 = np.full((1, 1), seed, dtype=np.uint64)
-    k1 = np.arange(start, stop, dtype=np.uint64)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64).reshape(-1, 1)
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0 = k0 + _PHILOX_W0
-        k1 = k1 + _PHILOX_W1
-    words = np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, stop - start)
-    return (words[:n] >> _U11).T
+    return _draws(n, seed, start, stop).T
 
 
 def _integer_thresholds(channel: PauliChannel) -> np.ndarray:
@@ -270,13 +314,18 @@ def _run_range(
     strict: bool,
 ) -> int:
     n = table.n
-    qubits = np.arange(n)
     step = max(1, _CHUNK_WORDS // -(-n // 4))
+    words = np.empty((8, -(-n // 4) * min(step, stop - start)), dtype=np.uint64)
+    thresholds = _integer_thresholds(channel)
+    shifts = 4 * np.arange(n).reshape(-1, 1)
     failures = 0
     for a in range(start, stop, step):
-        at = 4 * qubits + _sample_letters(channel, n, seed, a, min(a + step, stop))
-        ok, _ = _decoded(table, at, strict)
-        failures += len(ok) - int(np.count_nonzero(ok))
+        b = min(a + step, stop)
+        draws = _draws(n, seed, a, b, words)
+        # flat indices 4q + letter, in the state planes the draws left free
+        at = words[:4].reshape(-1)[: draws.size].reshape(draws.shape).view(np.int64)
+        np.add(sum((draws >= c).view(np.int8) for c in thresholds), shifts, at)
+        failures += b - a - int(np.count_nonzero(_decoded(table, at.T, strict)[0]))
     return failures
 
 
@@ -294,6 +343,12 @@ def check_run_args(trials: int, seed: int, workers: int) -> None:
         raise ValueError("workers must be >= 1")
 
 
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on (its affinity mask), None when unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count()
+
+
 def run(
     code: StabilizerCode,
     channel: PauliChannel,
@@ -308,11 +363,11 @@ def run(
 
     Per-trial keyed streams make the outcome a pure function of
     (code, channel, trials, seed, strict): the worker count changes wall time
-    only.  min(workers, CPU count) processes start, each with one contiguous
-    span of the trials; a single process, or fewer than two trials a worker,
-    runs inline with no pool.  `strict` demands exact error recovery instead
-    of recovery up to a stabilizer element; it exists to measure how much
-    degeneracy helps.
+    only.  min(workers, CPUs the process may run on) processes start, each
+    with one contiguous span of the trials; a single process, or fewer than
+    two trials a worker, runs inline with no pool.  `strict` demands exact
+    error recovery instead of recovery up to a stabilizer element; it exists
+    to measure how much degeneracy helps.
     Raises ValueError before any trial when `table` was built for another
     code.
     """
@@ -321,7 +376,7 @@ def run(
         table = build_table(code)
     elif (table.n, table.checks) != (code.n, code.h.h.rows):
         raise ValueError("decoder table was built for another code")
-    procs = min(workers, os.cpu_count() or 1)
+    procs = min(workers, _usable_cpus() or 1)
     if procs == 1 or trials < 2 * workers:
         failures = _run_range(table, channel, seed, 0, trials, strict)
     else:

@@ -69,6 +69,11 @@ def three_qubit_bit_flip() -> StabilizerCode:
     )
 
 
+# Most rows `random_code` draws: g generators take about 2**g draws, so 20
+# fit and 36 (about 2**36 draws) are refused after a few seconds.
+_MAX_DRAWS = 1 << 21
+
+
 def random_code(
     n: int, num_generators: int, rng: random.Random
 ) -> StabilizerCode:
@@ -76,13 +81,17 @@ def random_code(
 
     Draws nonzero symplectic vectors, keeping those that commute with and
     are independent of everything kept so far.  Such an extension always
-    exists while num_generators <= n, so this terminates.
+    exists while num_generators <= n, but a draw commutes with each kept row
+    only half the time, so this raises ValueError after `_MAX_DRAWS` draws.
     """
     if not 1 <= num_generators <= n:
         raise ValueError(f"need 1 <= generators <= n, got {num_generators} on {n}")
     rows: list[tuple[int, int]] = []
     basis = RowBasis()
+    draws = 0
     while len(rows) < num_generators:
+        if (draws := draws + 1) > _MAX_DRAWS:
+            raise ValueError(f"no {num_generators} commuting rows in {_MAX_DRAWS} draws")
         x = rng.getrandbits(n)
         z = rng.getrandbits(n)
         if x == 0 and z == 0:

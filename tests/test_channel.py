@@ -487,18 +487,21 @@ class TestAgainstOracle:
         whole = [simulate(steane, ch, trials, 8, table=t) for trials in counts]
         sizes = []
 
-        def sized(channel_, n, seed, start, stop):
+        draws = channel._draws
+
+        def sized(n, seed, start, stop, words_):
             sizes.append(stop - start)
-            return _sample_letters(channel_, n, seed, start, stop)
+            return draws(n, seed, start, stop, words_)
 
         monkeypatch.setattr(channel, "_CHUNK_WORDS", words)
-        monkeypatch.setattr(channel, "_sample_letters", sized)
+        monkeypatch.setattr(channel, "_draws", sized)
         assert [simulate(steane, ch, trials, 8, table=t) for trials in counts] == whole
         assert max(sizes) == chunk
 
     # codes of 1, 2 and 8 Philox blocks a trial.  The BCH table stops at
-    # weight 2 and the run is strict: the full table takes seconds to fill,
-    # and the oracle's loose test seconds to span 2**20 stabilizers.
+    # weight 2, since the full table takes seconds to fill, and its chunk
+    # boundaries are run strict.  Two full chunks and a short one take one
+    # reused workspace, loose and strict.
     @pytest.mark.parametrize(
         "name,max_weight,p,strict",
         [
@@ -512,11 +515,13 @@ class TestAgainstOracle:
         ch = PauliChannel.depolarizing(p)
         t = build_table(code, max_weight)
         chunk = channel._CHUNK_WORDS // -(-code.n // 4)
-        for trials in (chunk - 1, chunk, chunk + 1):
-            expected = oracles.simulate_failures(code, ch, trials, 4, t.table, strict)
+        runs = [(trials, strict) for trials in (chunk - 1, chunk, chunk + 1)]
+        runs += [(2 * chunk + chunk // 3, mode) for mode in (False, True)]
+        for trials, mode in runs:
+            expected = oracles.simulate_failures(code, ch, trials, 4, t.table, mode)
             assert 0 < expected < trials
-            r = simulate(code, ch, trials, 4, table=t, strict=strict)
-            assert r.failures == expected
+            r = simulate(code, ch, trials, 4, table=t, strict=mode)
+            assert r.failures == expected, (trials, mode)
 
     def test_wide_code_matches_oracle(self):
         code = random_code(70, 10, random.Random(70))
@@ -543,6 +548,39 @@ class TestAgainstOracle:
             if not strict and table.full:
                 assert expected == 0
         assert 0 < expected < 400
+
+
+class TestWorkspace:
+    def test_reused_workspace_draws_what_a_fresh_one_draws(self):
+        # chunks narrower than the workspace, in any order, after wider ones
+        spans = [(0, 40), (5, 22), (2**32 - 3, 2**32 + 14), (9, 10), (100, 139), (0, 40)]
+        for n in (1, 3, 4, 7, 9, 31, 65):
+            words = np.empty((8, -(-n // 4) * 40), dtype=np.uint64)
+            for start, stop in spans:
+                draws = channel._draws(n, 11, start, stop, words)
+                want = _uniforms(11, start, stop, n)
+                assert draws.T.tobytes() == want.tobytes(), (n, start, stop)
+
+    def test_peak_memory_is_one_chunk(self, steane):
+        # tracemalloc sees numpy's buffers: 5 chunks peak where 1 does, so no
+        # chunk's arrays are alive while the next one draws
+        import tracemalloc
+
+        table = build_table(steane)
+        ch = PauliChannel.depolarizing(0.05)
+        assert channel._CHUNK_WORDS // 2 == 4096
+        peaks = []
+        for trials in (4096, 20_000):
+            channel._run_range(table, ch, 7, 0, trials, False)
+            tracemalloc.start()
+            try:
+                channel._run_range(table, ch, 7, 0, trials, False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the loop's own Python ints differ by some bytes
+        assert peaks[1] - peaks[0] < 1024, peaks
+        assert max(peaks) <= 994 * 1024, peaks
 
 
 class TestWilson:
@@ -630,7 +668,7 @@ class TestRun:
         # numpy stores Philox key word 2**63 + 1 as 2**63 and 2**64 - 1 as 0,
         # so trial indices stay below 2**63, as seeds do
         channel.check_run_args(2**63, 2**63 - 1, 1)
-        monkeypatch.setattr(channel, "_uniforms", None)  # no trial may start
+        monkeypatch.setattr(channel, "_draws", None)  # no trial may start
         with pytest.raises(ValueError, match="trials"):
             simulate(steane, PauliChannel.depolarizing(0.05), trials, 1)
 
@@ -671,9 +709,26 @@ class TestRun:
         ch = PauliChannel.depolarizing(0.06)
         solo = simulate(steane, ch, trials, 12)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(channel.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: cpus)
         assert simulate(steane, ch, trials, 12, workers=workers) == solo
         assert started == pools
+
+    def test_pool_counts_the_cpus_the_process_may_run_on(self, steane, monkeypatch):
+        import concurrent.futures
+
+        def refused(*args, **kwargs):
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(channel.os, "cpu_count", lambda: 8)
+        # a one-CPU affinity mask on an 8-CPU machine runs two workers inline
+        monkeypatch.setattr(channel.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert channel._usable_cpus() == 1
+        ch = PauliChannel.depolarizing(0.06)
+        assert simulate(steane, ch, 1000, 12, workers=2) == simulate(steane, ch, 1000, 12)
+        # without affinity masks the machine's count stands
+        monkeypatch.delattr(channel.os, "sched_getaffinity")
+        assert channel._usable_cpus() == 8
 
     def test_few_trials_fall_back_to_inline(self, steane):
         ch = PauliChannel.depolarizing(0.06)
@@ -721,7 +776,7 @@ class TestRun:
         short = StabilizerCode.from_strings("XXI", "IXX")
         padded = StabilizerCode.from_strings("XXII", "IXXI")
         assert short.h.h.rows == padded.h.h.rows == (3, 6)
-        monkeypatch.setattr(channel, "_uniforms", None)  # no trial may start
+        monkeypatch.setattr(channel, "_draws", None)  # no trial may start
         for code, target in (
             (shor, steane),
             (other, steane),

@@ -27,6 +27,7 @@ from stabcheck import (
     syndrome_direct,
     validate,
 )
+from stabcheck.codes import _MAX_DRAWS
 from stabcheck.symplectic import Gf2Matrix, RowBasis
 
 
@@ -141,9 +142,11 @@ class TestStabilizerMembership:
         codes = [five_qubit, shor, css_state_6_0(), *draw_codes(25, 6, seed=16)]
         for code in codes:
             group = oracles.span(generator_strings(code))
+            basis = oracles.echelon(generator_strings(code))
             # weight 3 reaches the five-qubit and Shor logicals
             for e in chain(oracles.errors_up_to(code.n, min(code.n, 3)), group):
                 assert code.in_stabilizer(pauli_from_string(e)) == (e in group), e
+                assert oracles.in_span(basis, e) == (e in group), e
 
     def test_wide_code_products(self):
         # 120 class bits: every product of generators is a member, and such a
@@ -279,6 +282,12 @@ class TestCssSplit:
 
 
 class TestRandomCodes:
+    def test_rejection_sampling_is_bounded(self):
+        # 36 commuting rows on 40 qubits would take about 2**36 draws; the
+        # cap stops the sampler after a few seconds
+        with pytest.raises(ValueError, match=f"no 36 commuting rows in {_MAX_DRAWS} draws"):
+            random_code(40, 36, random.Random(0))
+
     def test_drawn_codes_are_frozen(self):
         # the tests draw codes by seed, and random_css_code reads
         # kernel_basis: a change to either sampler or to the kernel's
