@@ -9,22 +9,22 @@ reproducible and independent of how trials are split across workers.
 `run` starts at most one process per CPU it may run on and hands each one
 contiguous span of trials, so the decoder table is pickled once per process.
 
-`run` draws a chunk of trials at once: `_uniforms` evaluates Philox4x64-10
+`run` draws a chunk of trials at once: `_draws` evaluates Philox4x64-10
 (Salmon et al., SC 2011) in numpy across every trial of the chunk and gives
 each trial the same words as `np.random.Generator(np.random.Philox(key=[seed,
-trial])).random(n)`, so the errors are those of the per-trial reference
+trial])).random(n)`, and `_sample_indices` turns them into the flat indices
+4q + a of the errors of the per-trial reference
 `sample_error(channel, n, _trial_rng(seed, trial))`.  The rounds run
 qubit-major, on (blocks, trials) arrays, so each qubit's draws are one
-contiguous column, and the chunk's letters and flat indices 4q + a keep that
-layout, the one `degeneracy._error_chunks` gives the table fill.  A span of
-trials is sampled in one workspace, allocated once and reused by every
-chunk, with the rounds in place.  The chunk
-is decoded in numpy too: each trial's letters (X, Y, Z, I) come straight
-from its draws, kept as 53-bit integers and counted against integer
-thresholds, and the trial fails unless `degeneracy._decoded`, the one decode
-test, passes its flat indices: its syndrome is covered and the logical class
-key in that syndrome's table row equals its own (in strict mode: its x and z
-mask keys do).
+contiguous column, and the chunk's flat indices keep that layout, the one
+`degeneracy._error_chunks` gives the table fill.  A span of trials is
+sampled in one workspace, allocated once and reused by every chunk, with
+the rounds in place.  The chunk is decoded in numpy too: each trial's
+letters (X, Y, Z, I) come straight from its draws, kept as 53-bit integers
+and counted against integer thresholds, and the trial fails unless
+`degeneracy._decoded`, the one decode test, passes its flat indices: its
+syndrome is covered and the logical class key in that syndrome's table row
+equals its own (in strict mode: its x and z mask keys do).
 """
 
 from __future__ import annotations
@@ -192,8 +192,24 @@ def _mulhilo(
 def _draws(
     n: int, seed: int, start: int, stop: int, words: np.ndarray | None = None
 ) -> np.ndarray:
-    """`_uniforms(seed, start, stop, n).T` in planes 4 to 7 of `words` (fresh
-    if omitted), eight planes that each op takes a contiguous prefix of."""
+    """Column t - start: the 53-bit integers m of `_trial_rng(seed, t).random(n)`,
+    for t in [start, stop), as uint64; numpy's uniform is exactly m * 2**-53.
+
+    numpy's Philox keeps a 4-word buffer and increments its counter before
+    it fills the buffer, so draw b of a fresh generator is word b % 4 of the
+    block at counter (b // 4 + 1, 0, 0, 0) under key (seed, trial), and its
+    uniform is the word's top 53 bits.  Counter words 1 to 3 start as 0, so
+    round 1 multiplies the block counters alone and round 2's first product
+    is the seed's, a single element; from round 3 on every word is a full
+    array.
+
+    The rounds run qubit-major: every full word is a (blocks, trials) array,
+    so the trial key k1 broadcasts along contiguous rows.  The result is a
+    C-ordered (n, trials) array, one contiguous row per qubit, in planes 4
+    to 7 of `words` (fresh if omitted), eight planes that each op takes a
+    contiguous prefix of.  k0 and k1 stay uint64 arrays, which wrap silently
+    where the key schedule passes 2**64; numpy scalars warn there.
+    """
     blocks, trials = -(-n // 4), stop - start
     if words is None:
         words = np.empty((8, blocks * trials), dtype=np.uint64)
@@ -227,27 +243,6 @@ def _draws(
     return out
 
 
-def _uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Row t - start: the 53-bit integers m of `_trial_rng(seed, t).random(n)`,
-    for t in [start, stop), as uint64; numpy's uniform is exactly m * 2**-53.
-
-    numpy's Philox keeps a 4-word buffer and increments its counter before
-    it fills the buffer, so draw b of a fresh generator is word b % 4 of the
-    block at counter (b // 4 + 1, 0, 0, 0) under key (seed, trial), and its
-    uniform is the word's top 53 bits.  Counter words 1 to 3 start as 0, so
-    round 1 multiplies the block counters alone and round 2's first product
-    is the seed's, a single element; from round 3 on every word is a full
-    array.
-
-    The rounds run qubit-major: every full word is a (blocks, trials) array,
-    so the trial key k1 broadcasts along contiguous rows.  The result is the
-    transpose of a C-ordered (n, trials) array, one contiguous column per
-    qubit.  k0 and k1 stay uint64 arrays, which wrap silently where the key
-    schedule passes 2**64; numpy scalars warn there.
-    """
-    return _draws(n, seed, start, stop).T
-
-
 def _integer_thresholds(channel: PauliChannel) -> np.ndarray:
     """`_thresholds` as uint64 draws: m * 2**-53 >= t exactly when m >= c.
 
@@ -260,19 +255,26 @@ def _integer_thresholds(channel: PauliChannel) -> np.ndarray:
     )
 
 
-def _sample_letters(
-    channel: PauliChannel, n: int, seed: int, start: int, stop: int
+def _sample_indices(
+    channel: PauliChannel, n: int, seed: int, start: int, stop: int, words=None
 ) -> np.ndarray:
-    """Letters (0, 1, 2, 3 for X, Y, Z, I) of the errors that trials
-    [start, stop) draw, one trial per row.
+    """Flat indices 4q + a of the errors that trials [start, stop) draw, one
+    trial per row, as int64; letter a is 0, 1, 2, 3 for X, Y, Z, I.
 
     Row t - start is `sample_error(channel, n, _trial_rng(seed, t))`: the
     letter is the number of cumulative masses at or below the uniform,
     counted on the integer draws against `_integer_thresholds`, one
-    comparison per threshold.  The letters are int8.
+    comparison per threshold.  The result is the transpose of a qubit-major
+    array, in planes 0 to 3 of `words` (fresh if omitted).
     """
-    draws = _uniforms(seed, start, stop, n)
-    return sum((draws >= c).view(np.int8) for c in _integer_thresholds(channel))
+    if words is None:
+        words = np.empty((8, -(-n // 4) * (stop - start)), dtype=np.uint64)
+    draws = _draws(n, seed, start, stop, words)
+    # flat indices 4q + letter, in the state planes the draws left free
+    at = words[:4].reshape(-1)[: draws.size].reshape(draws.shape).view(np.int64)
+    letters = sum((draws >= c).view(np.int8) for c in _integer_thresholds(channel))
+    np.add(letters, 4 * np.arange(n).reshape(-1, 1), at)
+    return at.T
 
 
 def wilson_interval(
@@ -316,16 +318,11 @@ def _run_range(
     n = table.n
     step = max(1, _CHUNK_WORDS // -(-n // 4))
     words = np.empty((8, -(-n // 4) * min(step, stop - start)), dtype=np.uint64)
-    thresholds = _integer_thresholds(channel)
-    shifts = 4 * np.arange(n).reshape(-1, 1)
     failures = 0
     for a in range(start, stop, step):
         b = min(a + step, stop)
-        draws = _draws(n, seed, a, b, words)
-        # flat indices 4q + letter, in the state planes the draws left free
-        at = words[:4].reshape(-1)[: draws.size].reshape(draws.shape).view(np.int64)
-        np.add(sum((draws >= c).view(np.int8) for c in thresholds), shifts, at)
-        failures += b - a - int(np.count_nonzero(_decoded(table, at.T, strict)[0]))
+        at = _sample_indices(channel, n, seed, a, b, words)
+        failures += b - a - int(np.count_nonzero(_decoded(table, at, strict)[0]))
     return failures
 
 

@@ -30,10 +30,10 @@ from stabcheck import (
     wilson_interval,
 )
 from stabcheck.channel import (
+    _draws,
     _mulhilo,
-    _sample_letters,
+    _sample_indices,
     _trial_rng,
-    _uniforms,
     sample_error,
 )
 from stabcheck.symplectic import BitVector
@@ -167,7 +167,7 @@ class TestDecoderTable:
             assert t.classes.dtype == cls_dtype
             assert t.x.dtype == t.z.dtype == mask_dtype
             assert t.x.shape == t.z.shape == (t.covered,)
-            letters = _sample_letters(ch, n, 3, 0, 50)
+            letters = _sample_indices(ch, n, 3, 0, 50) % 4
             assert letters.dtype.kind == "i"
             assert set(np.unique(letters).tolist()) == {0, 1, 2, 3}
             at = 4 * np.arange(n) + letters
@@ -360,7 +360,7 @@ class TestBatchedStream:
     def test_uniforms_equal_numpy_philox(self, seed):
         for start in (0, 1, 2**32 - 1, 2**32, 2**40 + 3):
             for n in (1, 4, 5, 8, 9, 31, 65):
-                got = _uniforms(seed, start, start + 3, n)
+                got = _draws(n, seed, start, start + 3).T
                 assert got.shape == (3, n)
                 assert got.dtype == np.uint64
                 assert (got < 2**53).all()
@@ -375,7 +375,7 @@ class TestBatchedStream:
         want = [np.random.Generator(np.random.Philox(key=[2**63 - 1, t])) for t in trials]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _uniforms(2**63 - 1, 2**63 - 3, 2**63, 9)
+            got = _draws(9, 2**63 - 1, 2**63 - 3, 2**63).T
         for row, ref in zip(got * 2.0**-53, want):
             assert row.tobytes() == ref.random(9).tobytes()
 
@@ -384,12 +384,13 @@ class TestBatchedStream:
         # indices are one contiguous column, as in the fill's chunks
         ch = PauliChannel.depolarizing(0.05)
         for n in (1, 4, 7, 9, 31):
-            assert _uniforms(3, 10, 50, n).T.flags.c_contiguous, n
-            assert _sample_letters(ch, n, 3, 10, 50).T.flags.c_contiguous, n
+            assert _draws(n, 3, 10, 50).flags.c_contiguous, n
+            assert (_sample_indices(ch, n, 3, 10, 50) % 4).T.flags.c_contiguous, n
         seen = []
 
         def recorded(table, at, strict=False):
-            seen.append(at)
+            # a copy: the next chunk reuses the workspace that holds `at`
+            seen.append(np.copy(at))
             return degeneracy._decoded(table, at, strict)
 
         monkeypatch.setattr(channel, "_decoded", recorded)
@@ -397,6 +398,19 @@ class TestBatchedStream:
         assert seen and all(at.flags.f_contiguous for at in seen)
         chunks = [idx for _, idx in degeneracy._error_chunks(7, 3)]
         assert all(idx.flags.f_contiguous for idx in chunks)
+
+        # every index `run` decodes is 4q plus the per-trial sampler's
+        # letter: across the 4,096-trial chunk, and in a span past trial 0
+        table = build_table(steane)
+        for start, stop, sizes in ((0, 4100, [4096, 4]), (5000, 5100, [100])):
+            seen.clear()
+            channel._run_range(table, ch, 9, start, stop, False)
+            assert [len(at) for at in seen] == sizes
+            rows = np.concatenate(seen)
+            assert rows.shape == (stop - start, 7)
+            for trial, row in enumerate(rows.tolist(), start=start):
+                err = pauli_to_string(sample_error(ch, 7, _trial_rng(9, trial)))
+                assert row == [4 * q + "XYZI".index(c) for q, c in enumerate(err)], trial
 
     def test_philox_arithmetic_stays_uint64(self):
         # NumPy 1.x promotes uint64 mixed with a Python int to float64, which
@@ -450,7 +464,7 @@ class TestBatchedStream:
     )
     def test_masks_equal_per_trial_sampler(self, ch):
         for n in (1, 5, 8, 9, 31, 65, 70):
-            letters = _sample_letters(ch, n, 11, 2**32 - 20, 2**32 + 20)
+            letters = _sample_indices(ch, n, 11, 2**32 - 20, 2**32 + 20) % 4
             assert letters.shape == (40, n)
             for trial, row in enumerate(letters, start=2**32 - 20):
                 err = sample_error(ch, n, _trial_rng(11, trial))
@@ -528,7 +542,7 @@ class TestAgainstOracle:
         table = build_table(code, 1)
         assert not table.full
         ch = PauliChannel(0.002, 0.001, 0.002)
-        letters = _sample_letters(ch, 70, 5, 0, 400)
+        letters = _sample_indices(ch, 70, 5, 0, 400) % 4
         assert (letters[:, 64:] < 3).any()  # errors reach mask bits past 63
         expected = oracles.simulate_failures(code, ch, 400, 5, table.table)
         assert 0 < expected < 400
@@ -558,7 +572,7 @@ class TestWorkspace:
             words = np.empty((8, -(-n // 4) * 40), dtype=np.uint64)
             for start, stop in spans:
                 draws = channel._draws(n, 11, start, stop, words)
-                want = _uniforms(11, start, stop, n)
+                want = _draws(n, 11, start, stop).T
                 assert draws.T.tobytes() == want.tobytes(), (n, start, stop)
 
     def test_peak_memory_is_one_chunk(self, steane):
