@@ -144,13 +144,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 # Philox blocks sampled per batch in `_run_range`: a chunk holds
 # max(1, _CHUNK_WORDS // ceil(n / 4)) trials of ceil(n / 4) blocks each.  Each
 # of the eight planes of its workspace holds one uint64 word per block,
-# 8192 words or 64 kB whatever n is, so a chunk draws 4 * 8192 = 32,768 words
-# and numpy's per-call cost is spread over that many on small codes too.
-# 8192 blocks are 1024 trials of the 31-qubit BCH code; Steane gets 4096
-# trials a chunk, the 3-qubit repetition code 8192.  Steane at 20k trials
-# then Shor at 2k, tables built beforehand, raise the peak RSS by 0.9-1.0 MB
-# in a process of their own, against 0.4 MB with 2048-word chunks.
-_CHUNK_WORDS = 8192
+# 16,384 words or 128 kB whatever n is, so a chunk draws 4 * 16,384 = 65,536
+# words and the ~300 numpy calls of its rounds are paid once for that many.
+# 16,384 blocks are 2048 trials of the 31-qubit BCH code; Steane gets 8192
+# trials a chunk, the 3-qubit repetition code 16,384.  Steane at 20k trials
+# then Shor at 2k, tables built beforehand, raise the peak RSS by 1.4 MB in
+# a process of their own, against 0.75-0.9 MB with 8192-word chunks.
+_CHUNK_WORDS = 16384
 
 # Philox4x64-10 constants.  Everything stays np.uint64, because NumPy 1.x
 # promotes uint64 mixed with a Python int to float64.

@@ -3,8 +3,9 @@
 Everything here works on letter strings, tuples and sets instead of packed
 integers, so a bug in the library's bit tricks cannot hide in both routes.
 Only suitable for small instances; that is the point.  The two exceptions
-are `simulate_failures`, which draws its errors with the library's per-trial
-reference sampler, the stream that the batched sampler must reproduce;
+are `trial_failures` and its count `simulate_failures`, which draw their
+errors with the library's per-trial reference sampler, the stream that the
+batched sampler must reproduce;
 `table_fill`, the one-error-at-a-time decoder table fill that the chunked
 numpy fill of `build_table` must reproduce entry for entry;
 `subset_search_dfs`, the column-by-column subset search whose every field
@@ -302,8 +303,9 @@ def kernel_basis_rref(m: Gf2Matrix) -> tuple[BitVector, ...]:
     return tuple(basis)
 
 
-def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict: bool = False) -> int:
-    """Failures of `simulate`, one trial at a time from the reference sampler.
+def trial_failures(code, channel, trials: int, seed: int, table: dict, strict: bool = False) -> list[bool]:
+    """Whether each of trials 0 .. trials - 1 of `simulate` fails, one trial
+    at a time from the reference sampler.
 
     Trial t's error is `sample_error(channel, n, _trial_rng(seed, t))`; its
     syndrome comes from `syndrome_direct`, and a recovery succeeds when the
@@ -312,20 +314,24 @@ def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict
     """
     n = code.n
     basis = echelon([pauli_to_string(g) for g in code.h.generators])
-    failures = 0
+    failed = []
     for trial in range(trials):
         err = sample_error(channel, n, _trial_rng(seed, trial))
         rep = table.get(syndrome_direct(code, err).bits.bits)
         if rep is None:
-            failures += 1
+            failed.append(True)
             continue
         residual = multiply(
             pauli_to_string(err), pauli_to_string(PauliOperator.from_masks(n, *rep))
         )
         ok = residual == "I" * n if strict else in_span(basis, residual)
-        if not ok:
-            failures += 1
-    return failures
+        failed.append(not ok)
+    return failed
+
+
+def simulate_failures(code, channel, trials: int, seed: int, table: dict, strict: bool = False) -> int:
+    """Failures of `simulate`: the count of `trial_failures`."""
+    return sum(trial_failures(code, channel, trials, seed, table, strict))
 
 
 def table_fill(code, max_weight: int | None = None) -> tuple[dict, int]:

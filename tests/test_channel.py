@@ -39,6 +39,20 @@ from stabcheck.channel import (
 from stabcheck.symplectic import BitVector
 
 
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The trial count of each chunk that `_draws` samples."""
+    sizes = []
+    draws = channel._draws
+
+    def sized(n, seed, start, stop, words):
+        sizes.append(stop - start)
+        return draws(n, seed, start, stop, words)
+
+    monkeypatch.setattr(channel, "_draws", sized)
+    return sizes
+
+
 class TestPauliChannel:
     def test_component_bounds(self):
         with pytest.raises(ValueError):
@@ -400,9 +414,9 @@ class TestBatchedStream:
         assert all(idx.flags.f_contiguous for idx in chunks)
 
         # every index `run` decodes is 4q plus the per-trial sampler's
-        # letter: across the 4,096-trial chunk, and in a span past trial 0
+        # letter: across the 8,192-trial chunk, and in a span past trial 0
         table = build_table(steane)
-        for start, stop, sizes in ((0, 4100, [4096, 4]), (5000, 5100, [100])):
+        for start, stop, sizes in ((0, 8196, [8192, 4]), (5000, 5100, [100])):
             seen.clear()
             channel._run_range(table, ch, 9, start, stop, False)
             assert [len(at) for at in seen] == sizes
@@ -494,28 +508,21 @@ class TestAgainstOracle:
         "words,chunk",
         [pytest.param(w, c, id=str(c)) for w, c in ((1, 1), (6, 3), (15, 7))],
     )
-    def test_chunk_size_is_invisible(self, steane, monkeypatch, words, chunk):
+    def test_chunk_size_is_invisible(self, steane, monkeypatch, chunk_sizes, words, chunk):
         ch = PauliChannel.depolarizing(0.08)
         t = build_table(steane)
         counts = [trials for trials in (500, chunk - 1, chunk, chunk + 1) if trials > 0]
         whole = [simulate(steane, ch, trials, 8, table=t) for trials in counts]
-        sizes = []
-
-        draws = channel._draws
-
-        def sized(n, seed, start, stop, words_):
-            sizes.append(stop - start)
-            return draws(n, seed, start, stop, words_)
-
+        chunk_sizes.clear()
         monkeypatch.setattr(channel, "_CHUNK_WORDS", words)
-        monkeypatch.setattr(channel, "_draws", sized)
         assert [simulate(steane, ch, trials, 8, table=t) for trials in counts] == whole
-        assert max(sizes) == chunk
+        assert max(chunk_sizes) == chunk
 
     # codes of 1, 2 and 8 Philox blocks a trial.  The BCH table stops at
     # weight 2, since the full table takes seconds to fill, and its chunk
     # boundaries are run strict.  Two full chunks and a short one take one
-    # reused workspace, loose and strict.
+    # reused workspace, loose and strict.  The oracle runs each mode once, up
+    # to its longest run, and every run is held to a prefix of its outcomes.
     @pytest.mark.parametrize(
         "name,max_weight,p,strict",
         [
@@ -531,8 +538,13 @@ class TestAgainstOracle:
         chunk = channel._CHUNK_WORDS // -(-code.n // 4)
         runs = [(trials, strict) for trials in (chunk - 1, chunk, chunk + 1)]
         runs += [(2 * chunk + chunk // 3, mode) for mode in (False, True)]
+        prefix = {}
+        for mode in {m for _, m in runs}:
+            longest = max(n for n, m in runs if m == mode)
+            failed = oracles.trial_failures(code, ch, longest, 4, t.table, mode)
+            prefix[mode] = np.cumsum([0] + failed)
         for trials, mode in runs:
-            expected = oracles.simulate_failures(code, ch, trials, 4, t.table, mode)
+            expected = int(prefix[mode][trials])
             assert 0 < expected < trials
             r = simulate(code, ch, trials, 4, table=t, strict=mode)
             assert r.failures == expected, (trials, mode)
@@ -575,26 +587,56 @@ class TestWorkspace:
                 want = _draws(n, 11, start, stop).T
                 assert draws.T.tobytes() == want.tobytes(), (n, start, stop)
 
-    def test_peak_memory_is_one_chunk(self, steane):
-        # tracemalloc sees numpy's buffers: 5 chunks peak where 1 does, so no
-        # chunk's arrays are alive while the next one draws
+    @staticmethod
+    def _peak(table, trials):
+        # tracemalloc sees numpy's buffers; a warm-up run first, so that only
+        # the run's own arrays count
         import tracemalloc
 
-        table = build_table(steane)
         ch = PauliChannel.depolarizing(0.05)
-        assert channel._CHUNK_WORDS // 2 == 4096
-        peaks = []
-        for trials in (4096, 20_000):
+        channel._run_range(table, ch, 7, 0, trials, False)
+        tracemalloc.start()
+        try:
             channel._run_range(table, ch, 7, 0, trials, False)
-            tracemalloc.start()
-            try:
-                channel._run_range(table, ch, 7, 0, trials, False)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_is_one_chunk(self, steane):
+        # 5 chunks peak where 1 does, so no chunk's arrays are alive while
+        # the next one draws
+        table = build_table(steane)
+        assert channel._CHUNK_WORDS // 2 == 8192
+        peaks = [self._peak(table, trials) for trials in (8192, 40_960)]
         # the loop's own Python ints differ by some bytes
         assert peaks[1] - peaks[0] < 1024, peaks
-        assert max(peaks) <= 994 * 1024, peaks
+        assert max(peaks) <= 1988 * 1024, peaks
+
+    def test_runs_inside_one_chunk_allocate_the_span(self, steane, monkeypatch):
+        # the workspace is sized to min(chunk, span), so runs shorter than a
+        # chunk peak alike at 8192 and 16,384 blocks a chunk
+        table = build_table(steane)
+        peaks = {}
+        for words in (8192, 16384):
+            monkeypatch.setattr(channel, "_CHUNK_WORDS", words)
+            peaks[words] = [self._peak(table, trials) for trials in (300, 2000)]
+        assert peaks[8192] == peaks[16384], peaks
+
+    # 16,384 blocks a chunk: 2048 trials of BCH, 8192 of Steane, 16,384 of
+    # the 3-qubit code and 910 of the 70-qubit code (18 blocks a trial)
+    @pytest.mark.parametrize(
+        "name,trials,chunks",
+        [("steane", 20_000, 3), ("bch_31_11", 4000, 2), ("bitflip3", 17_000, 2), ("wide", 400, 1)],
+    )
+    def test_chunks_per_run(self, request, chunk_sizes, name, trials, chunks):
+        if name == "bch_31_11":
+            code = bch_31_11()
+        elif name == "wide":
+            code = random_code(70, 10, random.Random(70))
+        else:
+            code = request.getfixturevalue(name)
+        simulate(code, PauliChannel.depolarizing(0.01), trials, 7, table=build_table(code, 1))
+        assert len(chunk_sizes) == chunks and sum(chunk_sizes) == trials, chunk_sizes
 
 
 class TestWilson:
@@ -662,10 +704,10 @@ class TestRun:
         assert solo == pooled
 
     def test_pool_spans_of_several_chunks(self, steane):
-        # 5,000 trials a span, more than one 4,096-trial Steane chunk
+        # 10,000 trials a span, more than one 8,192-trial Steane chunk
         ch = PauliChannel.depolarizing(0.06)
-        solo = simulate(steane, ch, 10_000, 12, workers=1)
-        assert simulate(steane, ch, 10_000, 12, workers=2) == solo
+        solo = simulate(steane, ch, 20_000, 12, workers=1)
+        assert simulate(steane, ch, 20_000, 12, workers=2) == solo
 
     @pytest.mark.parametrize("seed", [2**63, 2**63 + 1, 2**64, -1])
     def test_seed_outside_domain_rejected(self, steane, seed):
