@@ -8,8 +8,9 @@ decides this exactly with `fill_syndrome_map`, the syndrome -> error map
 that `build_table` also fills, in the order of `enumerate_errors`; the column
 criteria (`sufficient_nondegenerate`, `necessary_check`, `css_nondegeneracy`,
 `standard_form_shortcut`) are one-sided or CSS-exact shortcuts that look at
-linear independence of check-matrix columns instead.  The fill also gives
-each claimant its logical class key, its syndrome against 2k logical
+linear independence of check-matrix columns instead (`_column_verdict` reads
+the first three off the searches of `distance.column_bounds`).  The fill also
+gives each claimant its logical class key, its syndrome against 2k logical
 operators (`StabilizerCode._class_matrices`): two errors with one syndrome
 differ by a stabilizer exactly when their class keys agree.
 
@@ -41,11 +42,12 @@ from enum import Enum
 from functools import cache, cached_property
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .stabilizer import (
+    CssSplit,
     StabilizerCode,
     StandardForm,
     SyndromeMatrices,
@@ -577,11 +579,9 @@ def sufficient_nondegenerate(
     """One-sided test: every 4t-subset of [H_X|H_Z] independent => nondegenerate.
 
     Never returns proven_degenerate; a dependent subset is inconclusive here.
-    Requires 4t <= 2n.
+    Requires 4t <= 2n: the search refuses a size past the 2n columns.
     """
     _check_t(code.n, t)
-    if 4 * t > 2 * code.n:
-        raise ValueError(f"4t={4 * t} exceeds the {2 * code.n} columns of [H_X|H_Z]")
     return _sufficient_outcome(
         smallest_dependent_subset(code.h.h, 4 * t, budget=budget), t
     )
@@ -603,7 +603,7 @@ def necessary_check(
 
 
 def _sufficient_outcome(search: SubsetSearch, t: int) -> CriterionOutcome:
-    """Sufficient criterion read off a full-matrix search of size >= 4t."""
+    """Sufficient criterion off a full-matrix search to >= 4t or to a circuit."""
     if search.verified >= 4 * t:
         return CriterionOutcome.PROVEN_NONDEGENERATE
     if search.outcome == BUDGET_EXHAUSTED:
@@ -612,7 +612,7 @@ def _sufficient_outcome(search: SubsetSearch, t: int) -> CriterionOutcome:
 
 
 def _necessary_outcome(search: SubsetSearch, t: int) -> CriterionOutcome:
-    """Necessary criterion read off a full-matrix search of size >= 2t."""
+    """Necessary criterion off a full-matrix search to >= 2t or to a circuit."""
     if search.verified >= 2 * t:
         return CriterionOutcome.INCONCLUSIVE
     if search.outcome == DEPENDENT_FOUND:
@@ -630,18 +630,48 @@ def css_nondegeneracy(
     row-equivalent CSS form).  Returns not_css when no CSS form exists.
     """
     _check_t(code.n, t)
-    split = css_split(code)
+    return _css_outcome(_block_searches(
+        css_split(code), t, lambda b, m: smallest_dependent_subset(b, m, budget=budget)
+    ))
+
+
+def _block_searches(
+    split: CssSplit | None, t: int, search: Callable[..., SubsetSearch]
+) -> Iterator[tuple[SubsetSearch, int]]:
+    """(search(block, m), m) for the X block, then the Z block, searched when
+    read to m = min(2t, cols) or past it, as the CSS criterion at t needs; none
+    without a CSS split.  An equal Z block is not searched again."""
     if split is None:
-        return CriterionOutcome.NOT_CSS
-    # equal blocks give the same search, so an equal Z block is not searched
-    for block in dict.fromkeys((split.x_block, split.z_block)):
-        m = min(2 * t, block.cols)
-        search = smallest_dependent_subset(block, m, budget=budget)
-        if search.outcome == BUDGET_EXHAUSTED:
+        return
+    x, z = split.x_block, split.z_block
+    m = min(2 * t, x.cols)  # both blocks have n columns
+    x_search = search(x, m)
+    yield x_search, m
+    yield x_search if z == x else search(z, m), m
+
+
+def _css_outcome(searches: Iterable[tuple[SubsetSearch, int]]) -> CriterionOutcome:
+    """The CSS criterion off `_block_searches` (not_css when there are none)."""
+    outcome = CriterionOutcome.NOT_CSS
+    for search, m in searches:
+        if search.verified < m:
+            if search.outcome == DEPENDENT_FOUND:
+                return CriterionOutcome.DEGENERATE
             return CriterionOutcome.BUDGET_EXHAUSTED
-        if search.outcome == DEPENDENT_FOUND:
-            return CriterionOutcome.DEGENERATE
-    return CriterionOutcome.NONDEGENERATE
+        outcome = CriterionOutcome.NONDEGENERATE
+    return outcome
+
+
+def _column_verdict(
+    search: SubsetSearch, blocks: Iterable[tuple[SubsetSearch, int]], t: int
+) -> Verdict | None:
+    """The first verdict, proven or not, that the CSS criterion off `blocks`,
+    or the sufficient or necessary one off the full `search`, gives at t, or None."""
+    css = _css_outcome(blocks)
+    for outcome in (css, _sufficient_outcome(search, t), _necessary_outcome(search, t)):
+        if outcome.value.endswith("degenerate"):
+            return Verdict(outcome.value.removeprefix("proven_"))
+    return None
 
 
 def standard_form_shortcut(sf: StandardForm, t: int) -> CriterionOutcome:

@@ -4,16 +4,18 @@ The distance of a stabilizer code is the least symplectic weight over the
 operators that commute with every generator (zero syndrome) but are not
 stabilizer elements (nonzero class key).  `column_bounds` derives distance
 bounds from the largest m such that every m-subset of check-matrix columns
-is independent, without enumerating errors.  `min_distance` searches weight
-levels ascending from that lower bound, since no level below it can hold a
-zero-syndrome operator, so the first hit is exact.
+is independent, without enumerating errors, and reads the nondegeneracy its
+upper bound needs off the same searches, through the column criteria of
+`degeneracy`.  `min_distance` searches weight levels ascending from that
+lower bound, since no level below it can hold a zero-syndrome operator, so
+the first hit is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degeneracy import Verdict, _check_t, classify
+from .degeneracy import Verdict, _block_searches, _check_t, _column_verdict, classify
 from .stabilizer import StabilizerCode, css_split
 from .symplectic import (
     ALL_INDEPENDENT,
@@ -22,6 +24,7 @@ from .symplectic import (
     Gf2Matrix,
     PauliOperator,
     RowBasis,
+    SubsetSearch,
     row_reduce,
     smallest_dependent_subset,
 )
@@ -89,20 +92,28 @@ def max_independence_order(
     The rank comes from one elimination of `m`; `column_bounds` and
     `min_distance` skip it, since they know the ranks of their matrices.
     """
-    return _independence_order(m, row_reduce(m).rank, budget)
+    search = _order_search(m, budget, row_reduce(m).rank)
+    return search.verified, search.outcome == BUDGET_EXHAUSTED
 
 
-def _independence_order(m: Gf2Matrix, rank: int, budget: int) -> tuple[int, bool]:
-    """`max_independence_order` of `m`, given its rank."""
+def _order_search(m: Gf2Matrix, budget: int, rank: int | None = None) -> SubsetSearch:
+    """`max_independence_order`'s search, to rank + 1 (rank defaults to `m.nrows`)."""
     if budget < 0:
         raise ValueError(f"negative budget {budget}")
+    rank = m.nrows if rank is None else rank
     if rank == m.cols:
-        return m.cols, False
+        return SubsetSearch(ALL_INDEPENDENT, None, 0, m.cols)
     search = smallest_dependent_subset(m, rank + 1, budget=budget)
     # rank < cols guarantees some (rank+1)-subset is dependent, so the search
     # cannot come back all_independent; only the budget stops it.
     assert search.outcome != ALL_INDEPENDENT
-    return search.verified, search.outcome == BUDGET_EXHAUSTED
+    return search
+
+
+def _order_floor(code: StabilizerCode, budget: int) -> tuple[SubsetSearch, int]:
+    """The check matrix's order search, and the lower bound on d it gives."""
+    search = _order_search(code.h.h, budget)
+    return search, 2 * (search.verified // 4) + 1
 
 
 def column_bounds(
@@ -110,51 +121,29 @@ def column_bounds(
 ) -> ColumnBounds:
     """Distance bounds from column independence of the check matrix.
 
-    No search eliminates its matrix for a rank: the check matrix has rank
-    n - k, since `CheckMatrix` refuses dependent generators, and each CSS
-    block is rows of one reduced echelon form, so its rank is its row count.
-    The one elimination is `css_split`'s own.
+    `degeneracy._column_verdict` reads the nondegeneracy that the 4t+1 bound
+    needs off the same searches, or else `classify` decides it.  No search
+    eliminates its matrix for a rank: the check matrix has rank n - k, since
+    `CheckMatrix` refuses dependent generators, and each CSS block is rows of
+    one reduced echelon form, so its rank is its row count.  The one
+    elimination is `css_split`'s own.
     """
     _check_t(code.n, t)
-    order, exhausted = _independence_order(code.h.h, code.num_generators, budget)
-    lower = 2 * (order // 4) + 1
+    search, lower = _order_floor(code, budget)
+    order, exhausted = search.verified, search.outcome == BUDGET_EXHAUSTED
     upper: int | None = None
     exact: int | None = None
-    block_orders: tuple[int, int] | None = None
-    css_verdict: bool | None = None
-    blocks_exhausted = False
-
-    encodes = code.k >= 1
     split = css_split(code)
-    if split is not None:
-        x, z = split.x_block, split.z_block
-        x_order, x_exh = _independence_order(x, x.nrows, budget)
-        z_order, z_exh = (
-            (x_order, x_exh)  # equal blocks give the same search
-            if z == x
-            else _independence_order(z, z.nrows, budget)
-        )
-        block_orders = (x_order, z_order)
-        blocks_exhausted = x_exh or z_exh
-        if not blocks_exhausted:
-            # the exact criterion of `css_nondegeneracy`
-            css_verdict = all(
-                o >= min(2 * t, b.cols)
-                for o, b in ((x_order, x), (z_order, z))
-            )
-            # With k >= 1 each block has fewer rows than columns, so both
-            # orders come from searches that found a dependent subset:
-            # min(x, z) >= 2t is then the CSS criterion at t, and == 2t adds
-            # a dependent (2t+1)-subset.
-            if encodes and min(x_order, z_order) == 2 * t:
-                exact = 2 * t + 1
-
-    if exact is not None:
-        lower = upper = exact
-    elif encodes and order <= 4 * t and not exhausted and _nondegenerate(
-        code, t, order, css_verdict
-    ):
-        upper = 4 * t + 1
+    blocks = tuple(_block_searches(split, t, lambda b, _: _order_search(b, budget)))
+    block_orders = tuple(s.verified for s, _ in blocks) or None
+    blocks_exhausted = any(s.outcome == BUDGET_EXHAUSTED for s, _ in blocks)
+    if code.k >= 1:  # logicals exist, and each block search found a circuit
+        if block_orders and not blocks_exhausted and min(block_orders) == 2 * t:
+            lower = upper = exact = 2 * t + 1
+        elif order <= 4 * t and not exhausted:
+            verdict = _column_verdict(search, blocks, t) or classify(code, t).verdict
+            if verdict is Verdict.NONDEGENERATE:
+                upper = 4 * t + 1
 
     return ColumnBounds(
         t=t,
@@ -165,25 +154,6 @@ def column_bounds(
         block_orders=block_orders,
         budget_exhausted=exhausted or blocks_exhausted,
     )
-
-
-def _nondegenerate(
-    code: StabilizerCode, t: int, order: int, css_verdict: bool | None
-) -> bool:
-    """Nondegeneracy at t, from the independence orders where they settle it.
-
-    `order` must come from a full-matrix search run to the end, and
-    `css_verdict` is the CSS block criterion (None when it does not apply).
-    Every 4t columns independent proves nondegeneracy; a dependent set of at
-    most 2t columns proves degeneracy.  Anything else takes `classify`.
-    """
-    if css_verdict is not None:
-        return css_verdict
-    if order >= 4 * t:
-        return True
-    if order < 2 * t:
-        return False
-    return classify(code, t).verdict is Verdict.NONDEGENERATE
 
 
 def _first_logical(code: StabilizerCode, w: int) -> tuple[int, int] | None:
@@ -276,10 +246,9 @@ def min_distance(
         lower, upper = bounds.lower, bounds.upper
         order, exhausted = bounds.max_independence_order, bounds.budget_exhausted
     else:
-        order, exhausted = _independence_order(
-            code.h.h, code.num_generators, budget
-        )
-        lower, upper = 2 * (order // 4) + 1, None
+        search, lower = _order_floor(code, budget)
+        order, exhausted = search.verified, search.outcome == BUDGET_EXHAUSTED
+        upper = None
 
     d: int | None = None
     witness: PauliOperator | None = None

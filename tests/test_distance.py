@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 
 import oracles
+import test_degeneracy
 from conftest import bch_31_11, css_state_6_0, draw_codes, generator_strings
 from stabcheck import (
     CriterionOutcome,
@@ -21,12 +24,14 @@ from stabcheck import (
     is_css,
     max_independence_order,
     min_distance,
+    necessary_check,
     pauli_to_string,
     random_code,
     random_css_code,
     shor,
     stabilizer,
     steane,
+    sufficient_nondegenerate,
     syndrome_direct,
     three_qubit_bit_flip,
     validate,
@@ -316,6 +321,71 @@ class TestColumnBounds:
             column_bounds(steane, 0)
         with pytest.raises(ValueError):
             column_bounds(steane, 8)
+
+
+class TestNondegeneracyRoute:
+    """Where the 4t+1 bound needs nondegeneracy, `column_bounds` takes it
+    from the column criteria and runs `classify` only when none settles it."""
+
+    SETTLED = {
+        CriterionOutcome.NONDEGENERATE,
+        CriterionOutcome.DEGENERATE,
+        CriterionOutcome.PROVEN_NONDEGENERATE,
+        CriterionOutcome.PROVEN_DEGENERATE,
+    }
+
+    def test_classify_runs_only_where_no_criterion_settles(self, monkeypatch):
+        classify_calls = []
+        inner = distance.classify
+
+        def counted(*args, **kwargs):
+            classify_calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(distance, "classify", counted)
+        open_cases = settled_cases = 0
+        for code, t, budget in _route_cases():
+            classify_calls.clear()
+            bounds = column_bounds(code, t, budget=budget)
+            order, exhausted = max_independence_order(code.h.h, budget=budget)
+            needed = (
+                code.k >= 1
+                and bounds.exact is None
+                and order <= 4 * t
+                and not exhausted
+            )
+            settled = False
+            if needed:
+                outcomes = {
+                    css_nondegeneracy(code, t, budget=budget),
+                    necessary_check(code, t, budget=budget),
+                }
+                if 4 * t <= 2 * code.n:
+                    outcomes.add(sufficient_nondegenerate(code, t, budget=budget))
+                settled = bool(outcomes & self.SETTLED)
+            ran = needed and not settled
+            assert len(classify_calls) == ran, (generator_strings(code), t, budget)
+            open_cases += ran
+            settled_cases += settled
+        # the sample reaches both routes
+        assert open_cases > 0 and settled_cases > 0
+
+    def test_outputs_digest(self):
+        # recorded before `column_bounds` read its nondegeneracy through the
+        # criteria's own readers: bounds, distance results and criteria
+        # must stay byte-identical
+        digest = hashlib.sha256()
+        for code, t, budget in _route_cases():
+            bounds = column_bounds(code, t, budget=budget)
+            with_t = min_distance(code, 0, t=t, budget=budget)
+            without_t = min_distance(code, 0, budget=budget)
+            criteria = classify(code, t, with_criteria=True, budget=budget).criteria
+            outcomes = [(k, v.value) for k, v in criteria.items()]
+            record = (astuple(bounds), astuple(with_t), astuple(without_t), outcomes)
+            digest.update(repr(record).encode())
+        assert digest.hexdigest() == (
+            "cb9bbcfdc80bd55b79cb82bc8b0f37089c70ae112dcf9793e4916e36f4578484"
+        )
 
 
 class TestSearchControls:
@@ -612,3 +682,12 @@ def _bounds_cases():
         "YZIXYZZXI", "ZIYZZZIYY", "IYYXIZYIZ", "ZIZYXZYIZ",
         "IYZIZYYII", "IYZYIZXYY", "IIXYYXXYI", "ZXIIYYIZZ",
     ), 1
+
+
+def _route_cases():
+    """(code, t, budget): `_bounds_cases` at the budgets of
+    `test_matches_classify_route`, then `TestSharedSearches.cases`."""
+    for budget in (0, 3, 20, 200, DEFAULT_BUDGET):
+        for code, t in _bounds_cases():
+            yield code, t, budget
+    yield from test_degeneracy.TestSharedSearches.cases()
