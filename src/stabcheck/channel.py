@@ -81,9 +81,8 @@ class PauliChannel:
 
 # Most entries `build_table` will fill.  Building the full [[31,11,5]]
 # table, 2**20 entries, peaks at 97 MB RSS, 39 MB of it the interpreter and
-# numpy; it keeps 32 bytes an entry (syndrome, x and z mask keys, class
-# key).  Reading its dict view brings the peak to 219 MB, so 2**22 entries
-# stay near 1 GB even then.
+# numpy; it keeps 32 bytes an entry (syndrome, x and z mask keys, class key),
+# and reading its `table` view adds none, so 2**22 entries keep 128 MB.
 _MAX_TABLE_ENTRIES = 1 << 22
 
 
@@ -161,6 +160,8 @@ _PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _U11 = np.uint64(11)
+# each multiplier's low and high 32-bit halves, split once for `_mulhilo`
+_HALVES = {m: (m & _LOW32, m >> _U32) for m in (_PHILOX_M0, _PHILOX_M1)}
 
 
 def _mulhilo(
@@ -170,7 +171,7 @@ def _mulhilo(
     given scratch hi, t, u, v like a, in place into hi and a."""
     if hi is None:
         a, hi, t, u, v = a.copy(), *(np.empty_like(a) for _ in range(4))
-    m_lo, m_hi = m & _LOW32, m >> _U32
+    m_lo, m_hi = _HALVES[m]
     np.bitwise_and(a, _LOW32, t)
     np.right_shift(a, _U32, u)
     a *= m

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import random
+import tracemalloc
 import warnings
 from functools import cached_property
 
@@ -214,12 +215,58 @@ class TestDecoderTable:
     def test_dict_view_of_bch_weight_three_table(self):
         code = bch_31_11()
         t = build_table(code, 3)
-        assert t.table is t.table  # built once
+        # the view reads the arrays: getting it, its length and a lookup
+        # allocate no entries (a warm-up lookup first)
+        key = int(t.syndromes[t.covered // 2])
+        t.table[key]
+        tracemalloc.start()
+        try:
+            view = t.table
+            size, masks = len(view), view[key]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, peak
+        assert size == t.covered and masks == (t.x[t.covered // 2], t.z[t.covered // 2])
         table, _ = oracles.table_fill(code, 3)
         assert t.table == table
-        # one int object per distinct mask, as a dict of shared masks holds
-        masks = [m for pair in t.table.values() for m in pair]
-        assert len({id(m) for m in masks}) == len(set(masks))
+
+    @pytest.mark.parametrize(
+        "layout", ["bch_partial_int64", "steane_full", "object_syndromes", "object_masks"]
+    )
+    def test_view_reads_as_the_dict_of_its_items(self, layout, steane, monkeypatch):
+        t = {
+            "bch_partial_int64": lambda: build_table(bch_31_11(), 3),
+            "steane_full": lambda: build_table(steane),
+            "object_syndromes": lambda: build_table(repetition_code(64), 1),
+            "object_masks": lambda: build_table(random_code(70, 10, random.Random(70)), 1),
+        }[layout]()
+        assert (t.full, t.syndromes.dtype, t.x.dtype) == {
+            "bch_partial_int64": (False, np.int64, np.int64),
+            "steane_full": (True, np.int64, np.int64),
+            "object_syndromes": (False, object, object),
+            "object_masks": (False, np.int64, object),
+        }[layout]
+        view = t.table
+        # the walks read the arrays in blocks, never a lookup per key
+        with monkeypatch.context() as m:
+            m.setattr(degeneracy._TableView, "__getitem__", None)
+            table = dict(view.items())
+            keys, values = list(view), list(view.values())
+        assert keys == list(view.keys()) == sorted(table)
+        assert values == [table[s] for s in keys]
+        assert len(view) == len(table) == t.covered
+        assert view == table and table == view
+        assert view != {**table, 0: (1, 0)} and {} != view
+        assert {s: view[s] for s in keys} == table
+        assert keys[-1] in view and view.get(keys[-1], None) == table[keys[-1]]
+        assert view[np.int64(0)] == view[False] == (0, 0)
+        uncovered = [] if t.full else [min(set(range(len(keys) + 1)) - set(keys))]
+        for key in (*uncovered, -1, t.num_syndromes, 2**70, "1", 1.5, None):
+            with pytest.raises(KeyError):
+                view[key]
+            assert key not in view
+            assert view.get(key, "absent") == "absent"
 
     def test_pool_payload_leaves_the_dict_view_behind(self):
         # pool workers decode from the arrays: a dict view read before the
@@ -591,8 +638,6 @@ class TestWorkspace:
     def _peak(table, trials):
         # tracemalloc sees numpy's buffers; a warm-up run first, so that only
         # the run's own arrays count
-        import tracemalloc
-
         ch = PauliChannel.depolarizing(0.05)
         channel._run_range(table, ch, 7, 0, trials, False)
         tracemalloc.start()
