@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand is a thin wrapper: parse the code file, call one library
-operation, render the result.  JSON reports use sorted keys and carry no
-timing or worker-count fields, so a fixed (input, seed, version) triple
-produces byte-identical bytes run after run; elapsed time appears in the
-text rendering only.
+`main` reads and validates the code file, hands the code to the
+subcommand's handler, and wraps what it returns: under --json in the common
+report envelope (command, version, code, result), otherwise after a
+`code:` header line and before an `elapsed:` line.  A handler only calls
+its library operation and renders that result.  JSON reports use sorted
+keys and carry no timing or worker-count fields, so a fixed (input, seed,
+version) triple produces byte-identical bytes run after run; elapsed time
+appears in the text rendering only.
 
 Exit codes: 0 success, 2 unreadable or invalid input, 3 budget exhausted.
 """
@@ -22,7 +25,7 @@ from typing import Any, Callable
 from . import __version__
 from .channel import PauliChannel, build_table, check_run_args, run as run_channel
 from .codefile import read_code_file
-from .degeneracy import DEFAULT_BUDGET, CriterionOutcome, classify
+from .degeneracy import CriterionOutcome, classify
 from .distance import min_distance
 from .stabilizer import (
     StabilizerCode,
@@ -30,7 +33,7 @@ from .stabilizer import (
     standard_form,
     syndrome,
 )
-from .symplectic import BitVector, pauli_from_string, pauli_to_string
+from .symplectic import DEFAULT_BUDGET, BitVector, pauli_from_string, pauli_to_string
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,6 +43,7 @@ WORKERS_ENV = "STABCHECK_WORKERS"
 
 Lines = list[str]
 Payload = dict[str, Any]
+Handled = tuple[Payload, Lines, int]  # result, text lines, exit status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,14 +51,29 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        payload, lines, status = args.handler(args)
+        # the code file before the handler's own arguments: its error is named first
+        code_file = read_code_file(args.code)
+        code = code_file.to_code()
+        result, lines, status = args.handler(args, code, code_file.format)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     elapsed = time.perf_counter() - started
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        report = {
+            "command": args.command.replace("-", "_"),
+            "version": __version__,
+            "code": {
+                "label": code.label,
+                "n": code.n,
+                "k": code.k,
+                "num_generators": code.num_generators,
+            },
+            "result": result,
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
+        print(f"code: {code.label or '(unlabeled)'}  [[{code.n},{code.k}]]")
         for line in lines:
             print(line)
         print(f"elapsed: {elapsed:.3f}s")
@@ -141,30 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> tuple[StabilizerCode, str]:
-    cf = read_code_file(args.code)
-    return cf.to_code(), cf.format
-
-
-def _report(command: str, code: StabilizerCode, result: Payload) -> Payload:
-    return {
-        "command": command,
-        "version": __version__,
-        "code": {
-            "label": code.label,
-            "n": code.n,
-            "k": code.k,
-            "num_generators": code.num_generators,
-        },
-        "result": result,
-    }
-
-
-def _head(code: StabilizerCode) -> Lines:
-    name = code.label or "(unlabeled)"
-    return [f"code: {name}  [[{code.n},{code.k}]]"]
-
-
 def _effective_t(args: argparse.Namespace, code: StabilizerCode) -> int:
     if args.t is not None:
         return args.t
@@ -188,8 +183,7 @@ def _matrix_lines(name: str, rows: list[str]) -> Lines:
     return [f"{name}:"] + [f"  {r}" for r in rows]
 
 
-def _cmd_validate(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
-    code, fmt = _load(args)
+def _cmd_validate(args: argparse.Namespace, code: StabilizerCode, fmt: str) -> Handled:
     gens = [pauli_to_string(g) for g in code.h.generators]
     css = css_split(code) is not None
     result: Payload = {
@@ -201,17 +195,16 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
         "is_css": css,
         "generators": gens,
     }
-    lines = _head(code) + [
+    lines = [
         f"format: {fmt}",
         f"generators: {code.num_generators}",
         f"css: {'yes' if css else 'no'}",
         "status: valid",
     ]
-    return _report("validate", code, result), lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
-def _cmd_syndrome(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
-    code, _ = _load(args)
+def _cmd_syndrome(args: argparse.Namespace, code: StabilizerCode, fmt: str) -> Handled:
     error = pauli_from_string(args.error)
     s = syndrome(code, error)
     violated = [i + 1 for i in range(s.num_generators) if s.bits.get(i)]
@@ -221,16 +214,15 @@ def _cmd_syndrome(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
         "syndrome": str(s),
         "violated_generators": violated,
     }
-    lines = _head(code) + [
+    lines = [
         f"error: {pauli_to_string(error)}  (weight {error.weight})",
         f"syndrome: {s}",
         f"violated generators: {violated or 'none'}",
     ]
-    return _report("syndrome", code, result), lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
-def _cmd_matrices(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
-    code, _ = _load(args)
+def _cmd_matrices(args: argparse.Namespace, code: StabilizerCode, fmt: str) -> Handled:
     sm = code.syndrome_matrices
     result: Payload = {
         "h_x": code.h.h_x.to01(),
@@ -238,16 +230,14 @@ def _cmd_matrices(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
         "bsm": sm.bsm.to01(),
         "psm": sm.psm.to01(),
     }
-    lines = _head(code)
-    lines += _matrix_lines("h_x (rows = generators)", result["h_x"])
+    lines = _matrix_lines("h_x (rows = generators)", result["h_x"])
     lines += _matrix_lines("h_z (rows = generators)", result["h_z"])
     lines += _matrix_lines("bsm (row i = syndrome of X on qubit i)", result["bsm"])
     lines += _matrix_lines("psm (row i = syndrome of Z on qubit i)", result["psm"])
-    return _report("matrices", code, result), lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
-    code, _ = _load(args)
+def _cmd_classify(args: argparse.Namespace, code: StabilizerCode, fmt: str) -> Handled:
     t = _effective_t(args, code)
     report = classify(code, t, with_criteria=True, budget=args.budget)
     witness: Payload | None = None
@@ -267,7 +257,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
         "witness": witness,
         "criteria": criteria,
     }
-    lines = _head(code) + [
+    lines = [
         f"t: {t}",
         f"verdict: {report.verdict.value}",
         f"distinct syndromes: {report.syndrome_count} of {report.expected_count} errors",
@@ -280,15 +270,10 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
     for name in sorted(criteria):
         lines.append(f"criterion {name}: {criteria[name]}")
     exhausted = CriterionOutcome.BUDGET_EXHAUSTED.value in criteria.values()
-    return (
-        _report("classify", code, result),
-        lines,
-        EXIT_BUDGET if exhausted else EXIT_OK,
-    )
+    return result, lines, EXIT_BUDGET if exhausted else EXIT_OK
 
 
-def _cmd_distance(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
-    code, _ = _load(args)
+def _cmd_distance(args: argparse.Namespace, code: StabilizerCode, fmt: str) -> Handled:
     t = args.t
     if t is None and code.default_t is not None and code.default_t >= 1:
         t = code.default_t
@@ -303,7 +288,7 @@ def _cmd_distance(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
         "budget_exhausted": res.budget_exhausted,
         "t": t,
     }
-    lines = _head(code) + [
+    lines = [
         f"d: {res.d if res.d is not None else f'none at weight <= {res.search_limit}'}",
     ]
     if res.witness is not None:
@@ -312,15 +297,10 @@ def _cmd_distance(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
     lines.append(f"max independence order: {res.max_independence_order}")
     if res.budget_exhausted:
         lines.append("warning: column search budget exhausted; order is a lower bound")
-    return (
-        _report("distance", code, result),
-        lines,
-        EXIT_BUDGET if res.budget_exhausted else EXIT_OK,
-    )
+    return result, lines, EXIT_BUDGET if res.budget_exhausted else EXIT_OK
 
 
-def _cmd_standard_form(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
-    code, _ = _load(args)
+def _cmd_standard_form(args: argparse.Namespace, code: StabilizerCode, fmt: str) -> Handled:
     sf = standard_form(code)
     blocks = {
         name: getattr(sf, name).to01() for name in ("a1", "a2", "b", "c", "d", "e")
@@ -333,7 +313,7 @@ def _cmd_standard_form(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
         "rows": [_split_row(row, sf.n) for row in sf.matrix.rows],
         "blocks": blocks,
     }
-    lines = _head(code) + [
+    lines = [
         f"r: {sf.r}",
         f"qubit order: {result['qubit_order']}",
     ]
@@ -344,7 +324,7 @@ def _cmd_standard_form(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
             lines += _matrix_lines(name.upper(), rows)
         else:
             lines.append(f"{name.upper()}: (empty)")
-    return _report("standard_form", code, result), lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
 def _channel_from(args: argparse.Namespace) -> PauliChannel:
@@ -373,8 +353,7 @@ def _worker_count(args: argparse.Namespace) -> int:
     return workers
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
-    code, _ = _load(args)
+def _cmd_simulate(args: argparse.Namespace, code: StabilizerCode, fmt: str) -> Handled:
     channel = _channel_from(args)
     workers = _worker_count(args)
     check_run_args(args.trials, args.seed, workers)  # before the table fill
@@ -395,7 +374,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
             "max_weight": table.max_weight,
         },
     }
-    lines = _head(code) + [
+    lines = [
         f"channel: px={channel.p_x:g} py={channel.p_y:g} pz={channel.p_z:g}",
         f"trials: {sim.trials}  seed: {sim.seed}",
         f"failures: {sim.failures}",
@@ -403,7 +382,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[Payload, Lines, int]:
         f"ci95: [{sim.ci95[0]:.6g}, {sim.ci95[1]:.6g}]",
         f"table: {table.covered}/{table.num_syndromes} syndromes covered",
     ]
-    return _report("simulate", code, result), lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
 if __name__ == "__main__":

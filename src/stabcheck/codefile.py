@@ -49,7 +49,7 @@ _DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: str.isdigit accepts "²"
 
 # Longest file read, in characters (bytes for ASCII).  Far above any code
 # validate finishes on: a 16 MB file (a 4,000-qubit chain of ZZ checks)
-# already takes about 34 s, and time grows faster than size.  The cap only
+# already takes about 15 s, and time grows faster than size.  The cap only
 # stops a device such as /dev/zero from being read until memory runs out.
 MAX_CODE_FILE_CHARS = 64 * 2**20
 

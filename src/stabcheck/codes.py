@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from .stabilizer import StabilizerCode, validate
-from .symplectic import Gf2Matrix, PauliOperator, RowBasis, kernel_basis
+from .symplectic import Gf2Matrix, PauliOperator, RowBasis, _anticommute, kernel_basis
 
 __all__ = [
     "steane",
@@ -96,7 +96,7 @@ def random_code(
         z = rng.getrandbits(n)
         if x == 0 and z == 0:
             continue
-        if any(_sym(x, z, bx, bz) for bx, bz in rows):
+        if any(_anticommute(x, z, bx, bz) for bx, bz in rows):
             continue
         if not basis.add(x | (z << n)):
             continue
@@ -154,7 +154,3 @@ def random_css_code(
         # (disjoint halves), but let validation be the judge.
         return StabilizerCode(validate(gens))
     return None
-
-
-def _sym(ax: int, az: int, bx: int, bz: int) -> int:
-    return ((ax & bz).bit_count() & 1) ^ ((az & bx).bit_count() & 1)

@@ -24,6 +24,7 @@ from .symplectic import (
     Gf2Matrix,
     PauliOperator,
     RowBasis,
+    _anticommute,
     commutes,
     gf2_invert,
     kernel_basis,
@@ -96,11 +97,12 @@ class CheckMatrix:
         lengths = tuple(g.n for g in gens)
         if len(set(lengths)) > 1:
             raise MixedLengthsError(lengths)
+        masks = [(g.x.bits, g.z.bits) for g in gens]
         bad_pairs = [
             (i, j)
-            for i in range(len(gens))
-            for j in range(i + 1, len(gens))
-            if not commutes(gens[i], gens[j])
+            for i, (ax, az) in enumerate(masks)
+            for j, (bx, bz) in enumerate(masks[i + 1 :], i + 1)
+            if _anticommute(ax, az, bx, bz)
         ]
         if bad_pairs:
             raise NonCommutingGeneratorsError(tuple(bad_pairs))

@@ -202,7 +202,14 @@ def symplectic_weight(p: PauliOperator) -> int:
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """True when the symplectic product x_a.z_b + z_a.x_b vanishes mod 2."""
-    return a.x.dot(b.z) ^ a.z.dot(b.x) == 0
+    if a.n != b.n:
+        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
+    return not _anticommute(a.x.bits, a.z.bits, b.x.bits, b.z.bits)
+
+
+def _anticommute(ax: int, az: int, bx: int, bz: int) -> int:
+    """Symplectic product of the masks (ax | az) and (bx | bz), mod 2."""
+    return ((ax & bz) ^ (az & bx)).bit_count() & 1
 
 
 def pauli_product(a: PauliOperator, b: PauliOperator) -> PauliOperator:

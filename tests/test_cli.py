@@ -447,6 +447,39 @@ class TestInputErrors:
         assert rc == 2
         assert "anticommuting" in err
 
+    @pytest.mark.parametrize("bad_file", ["missing", "letter", "anticommuting"])
+    @pytest.mark.parametrize(
+        "argv,workers_env",
+        [
+            (("validate",), None),
+            (("matrices",), None),
+            (("standard-form",), None),
+            (("syndrome", "--error", "Q"), None),
+            (("classify", "--t", "0"), None),
+            (("distance", "--t", "0"), None),
+            (("simulate",), None),  # no channel flag
+            (("simulate", "--depolarizing", "0.05", "--trials", "0"), None),
+            (("simulate", "--depolarizing", "0.05"), "two"),
+        ],
+    )
+    def test_code_file_error_comes_first(
+        self, capsys, monkeypatch, tmp_path, bad_file, argv, workers_env
+    ):
+        # each command's own arguments are bad too; the file is named first
+        path = tmp_path / f"{bad_file}.stab"
+        if bad_file == "letter":
+            path.write_text("XQ\n")
+        elif bad_file == "anticommuting":
+            path.write_text("XI\nZI\n")
+        with pytest.raises((OSError, ValueError)) as file_error:
+            sc.parse_code_file(path)
+        if workers_env is not None:
+            monkeypatch.setenv(cli.WORKERS_ENV, workers_env)
+        rc, out, err = run(capsys, *argv, "--code", str(path))
+        assert rc == 2
+        assert err == f"error: {file_error.value}\n"
+        assert out == ""
+
     def test_bad_error_operator(self, capsys):
         rc, _, err = run(capsys, "syndrome", "--code", STEANE, "--error", "XQZ")
         assert rc == 2
