@@ -79,10 +79,10 @@ class PauliChannel:
         return cls(p / 3.0, p / 3.0, p / 3.0)
 
 
-# Most entries `build_table` will fill.  Building the full [[31,11,5]]
-# table, 2**20 entries, peaks at 97 MB RSS, 39 MB of it the interpreter and
-# numpy; it keeps 32 bytes an entry (syndrome, x and z mask keys, class key),
-# and reading its `table` view adds none, so 2**22 entries keep 128 MB.
+# Most entries `build_table` will fill.  The full [[31,11,5]] table, 2**20
+# entries, peaks at 78 MB RSS built in a fresh process, 29 MB of it Python,
+# numpy and stabcheck; it keeps 32 bytes an entry (syndrome, x and z mask
+# keys, class key), and reading its `table` view adds none: 128 MB at 2**22.
 _MAX_TABLE_ENTRIES = 1 << 22
 
 

@@ -26,8 +26,8 @@ errors, and `classify` of its first collision, whose product with the
 claimant is in the stabilizer exactly when the table decodes it.
 
 The fill finds which errors of a chunk claim a syndrome in one of two ways,
-chosen by n - k alone.  Up to `_OWNER_BITS` generators an int32 array of
-2^(n-k) entries, indexed by syndrome, holds each syndrome's claim number,
+chosen by n - k alone.  Up to `_OWNER_BITS` generators an int16 array of
+2^(n-k) entries, indexed by syndrome, marks each syndrome free or claimed,
 and a scatter-min of positions into it picks each free syndrome's first
 error; its claim buffers are sized once for every claim the fill can make.
 Wider codes keep the claimed syndromes in a sorted array, the only layout
@@ -41,7 +41,6 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -149,9 +148,13 @@ def alt_error_count(n: int, t: int) -> int:
 _FILL_CHUNK = 1 << 14
 
 # Codes of up to this many generators claim syndromes in a direct-address
-# int32 array of 2**(n-k) entries: 16 MB at the cap, 4 MB for the [[31,11,5]]
+# int16 array of 2**(n-k) entries: 8 MB at the cap, 2 MB for the [[31,11,5]]
 # code.  Wider syndromes are claimed in a sorted array of the claimed keys.
 _OWNER_BITS = 22
+
+# An owner entry of a claimed syndrome, below a chunk's marks -len(chunk)..-1.
+_CLAIMED = np.iinfo(np.int16).min
+assert _FILL_CHUNK < -_CLAIMED
 
 Masks = tuple[int, int]
 
@@ -273,40 +276,41 @@ def fill_syndrome_map(
     the first error in enumeration order that produces it.  The syndromes of
     a chunk of `_error_chunks` (int64, or Python ints in an object array
     past 62 bits) are XOR-gathered from the per-qubit letter syndromes by its
-    index.  Up to `_OWNER_BITS` generators an int32 `owner` array indexed by
-    syndrome holds each claim's number + 1 (0 while free): the chunk's free
-    errors are those whose owner entry is 0, and a scatter-min of their
-    positions into the owner array gives their first occurrences.  Its claim
-    buffers have a row for every syndrome or every error, whichever is
-    fewer, so they never grow.  Past `_OWNER_BITS`, an unstable sort of the
-    chunk gives the first occurrences, those not in a sorted array of
-    claimed keys are new, and the buffers double as they fill.  Either way
-    the new claims are taken in chunk order, and only the index columns of
-    the claimants gather mask and class keys.  The fill stops after the
-    chunk in which the map is full (if `full`) and an error has collided (if
-    `collision`).  The claims are then put in syndrome order, by the claim
-    numbers the owner array holds at the sorted syndromes, or else by an
-    argsort of the claimed syndromes in claim order.
+    index.  Up to `_OWNER_BITS` generators an int16 `owner` array indexed by
+    syndrome holds 0 while a syndrome is free and `_CLAIMED` once claimed; a
+    scatter-min of chunk positions into it gives the first occurrences of
+    the free syndromes (`_first_free_owned`), over the free errors only once
+    more than half the syndromes are claimed.  Its claim buffers have a row
+    for every syndrome or every error, whichever is fewer, so they never
+    grow.  Past `_OWNER_BITS`, an unstable sort of the chunk gives the first
+    occurrences, those not in a sorted array of claimed keys are new, and
+    the buffers double as they fill.  Either way the new claims are taken in
+    chunk order, and only the index columns of the claimants gather mask and
+    class keys, straight into the buffers.  The fill stops after the chunk
+    in which the map is full (if `full`) and an error has collided (if
+    `collision`).  The claims are then put in syndrome order by one sort of
+    syndrome << (n-k) | claim number, or else by an argsort of the syndromes.
 
     Returns (table, the index row of the first error to collide or None,
     syndromes claimed before it or None); the table's max_weight is the last
     weight evaluated.
     """
-    n, total = code.n, 1 << code.num_generators
-    letters = _letter_keys(code.syndrome_matrices, code.num_generators)
+    n, bits, total = code.n, code.num_generators, 1 << code.num_generators
+    letters = _letter_keys(code.syndrome_matrices, bits)
     letter_classes = _letter_keys(code._class_matrices, 2 * code.k)
     tables = (*_letter_masks(n), letter_classes)  # x, z and class keys
     owner = claimed = None
-    if code.num_generators <= _OWNER_BITS:
-        owner = np.zeros(total, dtype=np.int32)
-        owner[0] = 1  # the identity's claim
+    if bits <= _OWNER_BITS:
+        owner = np.zeros(total, dtype=np.int16)
+        owner[0] = _CLAIMED  # the identity's claim
     else:
         claimed = np.zeros(1, dtype=letters.dtype)  # claimed syndromes, sorted
     size = 1
-    # the claims in claim order, in [:size], the identity's first: syndromes,
-    # x, z and class keys.  np.empty leaves the rows past the claims
-    # untouched; the sorted path starts at one row, since its object
-    # buffers would fill every row with None.
+    # the claims in claim order, in [:size], the identity's first: syndromes
+    # (syndrome << (n - k) | claim number on the owner path), x, z and class
+    # keys.  np.empty leaves the rows past the claims untouched; the sorted
+    # path starts at one row, since its object buffers would fill every row
+    # with None.
     rows = min(total, 1 + error_count(n, max_weight)) if owner is not None else 1
     claims_by_order = tuple(
         np.empty(rows, dtype=keys.dtype) for keys in (letters, *tables)
@@ -318,20 +322,24 @@ def fill_syndrome_map(
         reached = w
         syn = _xor_gather(letters, idx)
         if owner is not None:
-            first = _first_free_owned(owner, syn)
+            first = _first_free_owned(owner, syn, 2 * size > total)
         else:
             first, claimed = _first_free_sorted(claimed, syn)
         end = size + len(first)
         if len(first):
-            # idx's columns are contiguous: take along them, not across
-            new = (syn[first], *_claims(np.take(idx.T, first, axis=1).T, tables))
             claims_by_order = tuple(
                 _reserve(buf, size, end, total) for buf in claims_by_order
             )
-            for buf, part in zip(claims_by_order, new):
-                buf[size:end] = part
+            new = claims_by_order[0][size:end]
+            syn.take(first, out=new, mode="clip")
+            # idx's columns are contiguous: take along them, not across
+            at = np.take(idx.T, first, axis=1).T
+            for buf, keys in zip(claims_by_order[1:], tables):
+                _xor_gather(keys, at, out=buf[size:end])
             if owner is not None:
-                owner[new[0]] = np.arange(size + 1, end + 1)
+                owner[new] = _CLAIMED
+                new <<= bits
+                new |= np.arange(size, end)
         if clash is None:
             # claims come first in the chunk up to its first collision
             pos = int(np.count_nonzero(first == np.arange(len(first))))
@@ -341,11 +349,11 @@ def fill_syndrome_map(
         size = end
         if (not full or size == total) and (not collision or clash is not None):
             break
-    idx = syn = None  # the last chunk's arrays, freed before the gathers
-    if owner is not None:
-        syndromes = np.sort(claims_by_order[0][:size])
-        order = (np.take(owner, syndromes) - 1).astype(np.intp)
-        owner = None
+    idx = syn = at = new = owner = None  # freed before the gathers
+    if claimed is None:
+        syndromes = np.sort(claims_by_order[0][:size])  # one packed sort
+        order = syndromes & (total - 1)
+        syndromes >>= bits
     else:
         syndromes, order = claimed, np.argsort(claims_by_order[0][:size])
     # gather the claims into syndrome order, one buffer at a time: each is
@@ -360,14 +368,17 @@ def fill_syndrome_map(
     return table, clash, claimed_before
 
 
-def _first_free_owned(owner: np.ndarray, syn: np.ndarray) -> np.ndarray:
+def _first_free_owned(owner: np.ndarray, syn: np.ndarray, filtered: bool) -> np.ndarray:
     """Ascending positions in `syn` of the first occurrences of the
-    syndromes that `owner` holds free (0).
-
-    Leaves each such syndrome's owner entry at its least position minus
-    len(syn), a negative mark that the caller's claim must overwrite."""
+    syndromes that `owner` holds free (0).  A scatter-min of the marks
+    -len(syn)..-1 (at the free positions only, if `filtered`) leaves each
+    one's least mark in its entry, for the caller's claim to overwrite."""
+    marks = np.arange(-len(syn), 0, dtype=owner.dtype)
+    if not filtered:
+        np.minimum.at(owner, syn, marks)
+        return np.flatnonzero(owner[syn] == marks)
     at = np.flatnonzero(owner[syn] == 0)
-    free, mark = syn[at], (at - len(syn)).astype(owner.dtype)
+    free, mark = syn[at], marks[at]
     np.minimum.at(owner, free, mark)
     return at[owner[free] == mark]
 
@@ -438,25 +449,39 @@ def _error_chunks(n: int, max_weight: int) -> Iterator[tuple[int, np.ndarray]]:
     patterns: all 3**w patterns, for as many supports as fit `_FILL_CHUNK`,
     or else a slice of at most `_FILL_CHUNK` patterns of one support.  The
     letters of pattern p are the base-3 digits of p, the first letter most
-    significant.
+    significant.  Supports are unranked from their lex ranks (`_binomials`).
     """
     for w in range(1, max_weight + 1):
-        patterns = 3**w
+        patterns, count = 3**w, comb(n, w)
         place = 3 ** np.arange(w - 1, -1, -1, dtype=np.intp)[:, None]
-        supports = combinations(range(n), w)
-        while True:
-            block = np.fromiter(
-                chain.from_iterable(islice(supports, max(1, _FILL_CHUNK // patterns))),
-                dtype=np.intp,
-            ).reshape(-1, w)
-            if not len(block):
-                break
+        binom = _binomials(n, w)
+        step = max(1, _FILL_CHUNK // patterns)
+        for r in range(1 - count, 1, step):  # lex rank - C(n, w) + 1
+            ranks = np.arange(r, min(r + step, 1))
+            block = np.empty((w, len(ranks)), dtype=np.intp)
+            for j, row in enumerate(binom):
+                block[j] = q = row.searchsorted(ranks)
+                ranks -= row[q]
             for p in range(0, patterns, _FILL_CHUNK):
                 numbers = np.arange(p, min(p + _FILL_CHUNK, patterns), dtype=np.intp)
                 digits = numbers // place % 3
                 # C order: the reshape is then a view, not a copy
-                keys = np.add(4 * block.T[:, :, None], digits[:, None], order="C")
+                keys = np.add(4 * block[:, :, None], digits[:, None], order="C")
                 yield w, keys.reshape(w, -1).T
+
+
+@cache
+def _binomials(n: int, w: int) -> np.ndarray:
+    """Row j: -C(n - 1 - q, w - j) for q < n, ascending; read-only.
+
+    A w-subset c of range(n) has lex rank C(n, w) - 1 - sum_j C(n - 1 - c_j,
+    w - j), so c_j is the least q whose row-j entry is at least what qubits
+    0..j-1 leave of rank - C(n, w) + 1.  From n = 68 some levels pass int64
+    and raise OverflowError here; the fill stops long before them."""
+    rows = [[-comb(n - 1 - q, w - j) for q in range(n)] for j in range(w)]
+    binom = np.array(rows, dtype=np.int64)
+    binom.setflags(write=False)
+    return binom
 
 
 def _claims(idx: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[np.ndarray]:
@@ -464,12 +489,16 @@ def _claims(idx: np.ndarray, tables: tuple[np.ndarray, ...]) -> list[np.ndarray]
     return [_xor_gather(keys, idx) for keys in tables]
 
 
-def _xor_gather(keys: np.ndarray, at: np.ndarray) -> np.ndarray:
+def _xor_gather(
+    keys: np.ndarray, at: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Key of each error, one error per row of `at`: the XOR of keys[q, a]
     over its entries 4q + a of an (n, 4) letter table, one for each of its
-    qubits q with that qubit's letter a (3 for I, whose keys are 0)."""
+    qubits q with that qubit's letter a (3 for I, whose keys are 0); into
+    `out` if given."""
     flat = keys.ravel()
-    out = flat[at[:, 0]]
+    # the entries are in range: "clip" skips the copy "raise" makes of out
+    out = flat.take(at[:, 0], out=out, mode="clip")
     for j in range(1, at.shape[1]):
         out ^= flat[at[:, j]]
     return out

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -480,8 +482,8 @@ class TestClaimBuffers:
     def test_first_free_owned_against_first_occurrences(self, length):
         rng = np.random.default_rng(length)
         for _ in range(20):
-            owner = np.zeros(64, dtype=np.int32)
-            owner[rng.choice(64, 24, replace=False)] = rng.integers(1, 100, 24)
+            owner = np.zeros(64, dtype=np.int16)
+            owner[rng.choice(64, 24, replace=False)] = degeneracy._CLAIMED
             syn = rng.integers(0, 64, length)
             before = owner.copy()
             seen, expected = set(), []
@@ -489,12 +491,15 @@ class TestClaimBuffers:
                 if before[s] == 0 and s not in seen:
                     seen.add(s)
                     expected.append(pos)
-            first = degeneracy._first_free_owned(owner, syn)
-            assert first.tolist() == expected
-            # each new syndrome holds its first position, marked negative
+            # each new syndrome holds its first position, marked negative;
+            # claimed ones keep the sentinel, the other free ones 0
             marks = before.copy()
-            marks[syn[first]] = first - length
-            assert owner.tolist() == marks.tolist()
+            marks[syn[expected]] = np.array(expected, dtype=np.intp) - length
+            for filtered in (False, True):
+                owner = before.copy()
+                first = degeneracy._first_free_owned(owner, syn, filtered)
+                assert first.tolist() == expected
+                assert owner.tolist() == marks.tolist()
 
     def test_owner_path_never_grows(self, reserve_calls):
         degeneracy.fill_syndrome_map(bch_31_11(), 3)
@@ -512,6 +517,87 @@ class TestClaimBuffers:
         assert classify(code, 4).witness is not None
         assert reserve_calls
         assert max(map(max, reserve_calls)) <= 1 << degeneracy._OWNER_BITS
+
+
+class TestOwnerFill:
+    """The owner path's fill: its pinned weight-3 table, its free-filter
+    rule, and the supports `_error_chunks` unranks for it."""
+
+    def test_bch_weight_three_table(self):
+        # digest of the table as built before the owner array held sentinels
+        t = build_table(bch_31_11(), 3)
+        assert (t.covered, t.max_weight) == (97_000, 3)
+        digest = hashlib.sha256()
+        for keys in (t.syndromes, t.x, t.z, t.classes):
+            digest.update(keys.tobytes())
+        assert digest.hexdigest() == (
+            "826423a76f1517e50fde4cea4971bf4b2cecc77dbd2dfd0488e83c10dbc9fc5f"
+        )
+
+    def test_full_fill_takes_both_branches(self, monkeypatch):
+        # the free-filter turns on once more than half the syndromes are
+        # claimed, and stays on
+        flags = []
+        inner = degeneracy._first_free_owned
+
+        def counted(owner, syn, filtered):
+            flags.append(filtered)
+            return inner(owner, syn, filtered)
+
+        monkeypatch.setattr(degeneracy, "_first_free_owned", counted)
+        t = build_table(bch_31_11())
+        assert t.full and t.max_weight == 5
+        assert set(flags) == {False, True}
+        assert flags == sorted(flags)
+
+    @staticmethod
+    def expected_chunks(n, w, chunk):
+        """The chunks of level w from itertools: supports in lex order, each
+        crossed with the letter patterns, sliced as `_error_chunks` says."""
+        supports = np.array(list(combinations(range(n), w)), dtype=np.intp)
+        letters = np.array(list(product(range(3), repeat=w)), dtype=np.intp)
+        rows = 4 * supports[:, None, :] + letters[None, :, :]
+        step = max(1, chunk // len(letters))
+        for s in range(0, len(supports), step):
+            for p in range(0, len(letters), chunk):
+                yield rows[s : s + step, p : p + chunk].reshape(-1, w)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7, None])
+    def test_error_chunks_against_combinations(self, monkeypatch, chunk):
+        # about one chunk per error at the small sizes: their levels stop
+        # at ten thousand errors
+        most = 10_000
+        if chunk is None:
+            chunk, most = degeneracy._FILL_CHUNK, error_count(12, 6)
+        monkeypatch.setattr(degeneracy, "_FILL_CHUNK", chunk)
+        for n in range(1, 13):
+            top = max(w for w in range(1, min(n, 6) + 1) if error_count(n, w) <= most)
+            got = list(degeneracy._error_chunks(n, top))
+            want = [
+                (w, rows)
+                for w in range(1, top + 1)
+                for rows in self.expected_chunks(n, w, chunk)
+            ]
+            assert [w for w, _ in got] == [w for w, _ in want]
+            for (_, idx), (_, rows) in zip(got, want):
+                assert idx.dtype == np.intp
+                assert idx.T.flags.c_contiguous  # each column contiguous
+                assert np.array_equal(idx, rows)
+
+    def test_wide_full_table_builds_its_levels_lazily(self, monkeypatch):
+        # 70 qubits: C(70, 35) passes int64, so the unranking tables of the
+        # levels past where the 2^10-entry map fills must never be built
+        code = random_code(70, 10, random.Random(70))
+        assert comb(70, 35) >= 1 << 63
+        owned = build_table(code)
+        assert owned.full and owned.max_weight < 70
+        monkeypatch.setattr(degeneracy, "_OWNER_BITS", code.num_generators - 1)
+        keyed = build_table(code)
+        assert owned.max_weight == keyed.max_weight
+        for name in TestClaimPaths.FIELDS:
+            u, v = getattr(owned, name), getattr(keyed, name)
+            assert u.dtype == v.dtype, name
+            assert u.tolist() == v.tolist(), name
 
 
 def gf2_rank(rows: list[int]) -> int:
